@@ -6,12 +6,12 @@
 
 #include "core/ResultsCache.h"
 
+#include "obs/BinCodec.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <sys/stat.h>
 
@@ -191,12 +191,10 @@ ipas::loadCachedEvaluation(const std::string &WorkloadName,
                            const PipelineConfig &Cfg) {
   if (cacheDisabled())
     return std::nullopt;
-  std::ifstream In(cachePath(WorkloadName, Cfg));
-  if (!In)
+  std::string Text;
+  if (!obs::readFile(cachePath(WorkloadName, Cfg), Text))
     return std::nullopt;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return deserializeEvaluation(SS.str());
+  return deserializeEvaluation(Text);
 }
 
 void ipas::storeCachedEvaluation(const WorkloadEvaluation &WE,
@@ -204,9 +202,7 @@ void ipas::storeCachedEvaluation(const WorkloadEvaluation &WE,
   if (cacheDisabled())
     return;
   ::mkdir(cacheDir().c_str(), 0755); // best effort
-  std::ofstream Out(cachePath(WE.WorkloadName, Cfg));
-  if (Out)
-    Out << serializeEvaluation(WE);
+  obs::writeFile(cachePath(WE.WorkloadName, Cfg), serializeEvaluation(WE));
 }
 
 WorkloadEvaluation ipas::evaluateWorkloadCached(const Workload &W,

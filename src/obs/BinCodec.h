@@ -5,16 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The explicit little-endian encoder/decoder pair and the FNV-1a payload
-/// checksum shared by every on-disk store in the obs layer (`.iprec`
-/// campaign records, `.ipprop` propagation stores). Kept deliberately
-/// dumb: integers are packed byte by byte, strings are u32 length +
-/// bytes, doubles travel as their IEEE-754 bit pattern in a u64 so round
-/// trips are bit-exact (including NaNs and signed zeros). The decoder
-/// never throws — it latches a failure flag and returns zeros, and
-/// `count()` rejects container sizes that could not possibly fit in the
-/// remaining bytes so a corrupt count fails cleanly instead of
-/// allocating.
+/// The codec shared by every on-disk store in the obs layer (`.iprec`
+/// campaign records, `.ipprof` cost profiles, `.ipprop` propagation
+/// stores, `.ipsum` summaries and `.ipses` session manifests): the
+/// little-endian Encoder/Decoder pair, the FNV-1a checksum, the sealed
+/// container every store wraps its payload in, and whole-file read and
+/// crash-safe write.
+///
+/// The Encoder/Decoder are kept deliberately dumb: integers are packed
+/// byte by byte, strings are u32 length + bytes, doubles travel as their
+/// IEEE-754 bit pattern in a u64 so round trips are bit-exact (including
+/// NaNs and signed zeros). The decoder never throws — it latches a
+/// failure flag and returns zeros, and `count()` rejects container sizes
+/// that could not possibly fit in the remaining bytes so a corrupt count
+/// fails cleanly instead of allocating.
+///
+/// Sealed container layout (all integers little-endian):
+///
+///   offset  size  field
+///   0       8     magic (per store, e.g. "IPASREC\0", "IPASPROF")
+///   8       4     version (u32, 1..the store's current version)
+///   12      8     payload length N (u64)
+///   20      N     payload (the store's own schema)
+///   20+N    8     FNV-1a 64 checksum of the payload bytes
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,6 +130,17 @@ public:
     Pos += N;
     return S;
   }
+  /// Checks that the payload decoded cleanly and completely; on failure
+  /// sets \p Err to "<KindName> payload truncated or corrupt" or
+  /// "<KindName> payload has trailing bytes".
+  bool finish(const char *KindName, std::string *Err) const {
+    const char *Problem = !ok()      ? " payload truncated or corrupt"
+                          : !atEnd() ? " payload has trailing bytes"
+                                     : nullptr;
+    if (Problem && Err)
+      *Err = std::string(KindName) + Problem;
+    return !Problem;
+  }
   /// A count that is about to size a container: reject values that could
   /// not possibly fit in the remaining bytes (at least one byte per
   /// element) so a corrupt count fails cleanly instead of allocating.
@@ -141,6 +165,39 @@ private:
   size_t Pos = 0;
   bool Failed = false;
 };
+
+/// A store's magic: exactly 8 bytes, not NUL-terminated.
+using StoreMagic = char[8];
+
+/// Wraps \p Payload in the sealed container: magic, \p Version, payload
+/// length, payload, FNV-1a trailer.
+std::string seal(const StoreMagic &Magic, uint32_t Version,
+                 const std::string &Payload);
+
+/// Checks the container \p Bytes and, on success, sets \p Version and
+/// points \p Payload / \p PayloadLen into \p Bytes (no copy). Rejects a
+/// short file, bad magic, version 0 or above \p MaxVersion, a length
+/// that does not match the file size exactly, and a checksum mismatch;
+/// each diagnostic names the store as \p KindName ("record store",
+/// "session manifest", ...).
+bool unseal(const std::string &Bytes, const StoreMagic &Magic,
+            uint32_t MaxVersion, const char *KindName, uint32_t &Version,
+            const char *&Payload, size_t &PayloadLen, std::string *Err);
+
+/// Reads all of \p Path into \p Out.
+bool readFile(const std::string &Path, std::string &Out,
+              std::string *Err = nullptr);
+
+/// Replaces \p Path with \p Bytes atomically with respect to a process
+/// crash or kill: the bytes go to `<Path>.tmp` in the same directory,
+/// which is then renamed onto \p Path, so a reader sees either the old
+/// file or the complete new one. The temp file is removed on any failure.
+/// There is deliberately no fsync: a campaign writes many small stores
+/// (the adhoc-vm benchmark writes about 18 per iteration) and durability
+/// against power loss is not a goal. Concurrent writers of one path are
+/// not coordinated.
+bool writeFile(const std::string &Path, const std::string &Bytes,
+               std::string *Err = nullptr);
 
 } // namespace obs
 } // namespace ipas

@@ -4,23 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// File layout (all integers little-endian), mirroring RecordStore:
-//
-//   offset  size  field
-//   0       8     magic "IPASPROP"
-//   8       4     version (u32, currently 1)
-//   12      8     payload length (u64)
-//   20      N     payload (see serializePayload)
-//   20+N    8     FNV-1a 64 checksum of the payload bytes
+// The file is a sealed container (obs/BinCodec.h) with magic "IPASPROP"
+// and version 1; the payload schema is serializePayload below.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/Propagation.h"
 
 #include "obs/BinCodec.h"
-
-#include <cstdio>
-#include <cstring>
 
 using namespace ipas;
 using namespace ipas::obs;
@@ -138,34 +129,17 @@ bool parsePayload(PropagationStore &S, Decoder &D, std::string *Err) {
       M.Count = D.u32();
     }
   }
-  if (!D.ok()) {
-    if (Err)
-      *Err = "propagation store payload truncated or corrupt";
-    return false;
-  }
-  if (!D.atEnd()) {
-    if (Err)
-      *Err = "propagation store payload has trailing bytes";
-    return false;
-  }
-  return true;
+  return D.finish("propagation store", Err);
 }
 
 } // namespace
 
 void ipas::obs::serializePropagationStore(const PropagationStore &S,
                                           std::string &Out) {
-  Out.clear();
-  Out.append(Magic, sizeof(Magic));
-  Encoder Header(Out);
-  Header.u32(PropStoreVersion);
   std::string Payload;
   Encoder E(Payload);
   serializePayload(S, E);
-  Header.u64(Payload.size());
-  Out.append(Payload);
-  Encoder Footer(Out);
-  Footer.u64(fnv1a(Payload.data(), Payload.size()));
+  Out = seal(Magic, PropStoreVersion, Payload);
 }
 
 bool ipas::obs::writePropagationStore(const PropagationStore &S,
@@ -173,86 +147,25 @@ bool ipas::obs::writePropagationStore(const PropagationStore &S,
                                       std::string *Err) {
   std::string Bytes;
   serializePropagationStore(S, Bytes);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  bool Ok = Written == Bytes.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok && Err)
-    *Err = "short write to '" + Path + "'";
-  return Ok;
+  return writeFile(Path, Bytes, Err);
 }
 
 bool ipas::obs::parsePropagationStore(PropagationStore &S,
                                       const std::string &Data,
                                       std::string *Err) {
-  // Fixed header: magic + version + payload length.
-  constexpr size_t HeaderSize = sizeof(Magic) + 4 + 8;
-  if (Data.size() < HeaderSize) {
-    if (Err)
-      *Err = "not a propagation store (file too small)";
+  uint32_t Version = 0;
+  const char *Payload = nullptr;
+  size_t Len = 0;
+  if (!unseal(Data, Magic, PropStoreVersion, "propagation store", Version,
+              Payload, Len, Err))
     return false;
-  }
-  if (std::memcmp(Data.data(), Magic, sizeof(Magic)) != 0) {
-    if (Err)
-      *Err = "not a propagation store (bad magic)";
-    return false;
-  }
-  Decoder H(Data.data() + sizeof(Magic), Data.size() - sizeof(Magic));
-  uint32_t Version = H.u32();
-  if (Version == 0 || Version > PropStoreVersion) {
-    if (Err)
-      *Err = "unsupported propagation store version " +
-             std::to_string(Version) + " (reader supports up to " +
-             std::to_string(PropStoreVersion) + ")";
-    return false;
-  }
-  uint64_t PayloadLen = H.u64();
-  if (Data.size() != HeaderSize + PayloadLen + 8) {
-    if (Err)
-      *Err = "propagation store truncated (header promises " +
-             std::to_string(PayloadLen) + " payload bytes)";
-    return false;
-  }
-  const char *Payload = Data.data() + HeaderSize;
-  uint64_t WantLE = 0;
-  for (int I = 0; I != 8; ++I)
-    WantLE |= static_cast<uint64_t>(static_cast<unsigned char>(
-                  Data[HeaderSize + PayloadLen + I]))
-              << (8 * I);
-  if (fnv1a(Payload, PayloadLen) != WantLE) {
-    if (Err)
-      *Err = "propagation store checksum mismatch (corrupt file)";
-    return false;
-  }
-  Decoder D(Payload, PayloadLen);
+  Decoder D(Payload, Len);
   return parsePayload(S, D, Err);
 }
 
 bool ipas::obs::readPropagationStore(PropagationStore &S,
                                      const std::string &Path,
                                      std::string *Err) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "'";
-    return false;
-  }
   std::string Data;
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Data.append(Buf, N);
-  bool ReadOk = !std::ferror(F);
-  std::fclose(F);
-  if (!ReadOk) {
-    if (Err)
-      *Err = "read error on '" + Path + "'";
-    return false;
-  }
-  return parsePropagationStore(S, Data, Err);
+  return readFile(Path, Data, Err) && parsePropagationStore(S, Data, Err);
 }

@@ -119,9 +119,10 @@ void expectSpansNest(const std::vector<JsonValue> &Records) {
     }
     while (!Stack.empty() && Stack.back()->End <= S.Start)
       Stack.pop_back();
-    if (!Stack.empty())
+    if (!Stack.empty()) {
       EXPECT_LE(S.End, Stack.back()->End)
           << S.Name << " partially overlaps " << Stack.back()->Name;
+    }
     Stack.push_back(&S);
   }
 }

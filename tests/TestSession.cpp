@@ -6,16 +6,16 @@
 ///
 /// The session manifest is the unit the cross-run ledger (ipas-db)
 /// ingests, so the tests pin the archival-format contract the other obs
-/// stores already honor — serialize->parse->serialize is byte-identical,
-/// every corruption class (bad magic, bad version, truncation, flipped
-/// bytes, trailing garbage, absurd counts) is rejected with a diagnostic
-/// — plus the two properties specific to sessions: artifact checksums
-/// detect tampered or missing files, and the manifest built from a
-/// campaign is deterministic across worker-thread counts once the
-/// documented wall-clock fields are zeroed.
+/// stores already honor — serialize->parse->serialize is byte-identical
+/// and absurd counts are rejected (the envelope corruption classes are in
+/// TestStoreEnvelope.cpp) — plus the two properties specific to
+/// sessions: artifact checksums detect tampered or missing files, and the
+/// manifest built from a campaign is deterministic across worker-thread
+/// counts once the documented wall-clock fields are zeroed.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "StoreSamples.h"
 #include "TestUtil.h"
 
 #include "fault/FunctionHarness.h"
@@ -31,12 +31,10 @@ using obs::SessionArtifact;
 using obs::SessionFunction;
 using obs::SessionStore;
 
-namespace {
-
 /// A manifest exercising every field: strings with escapes, 64-bit
 /// hashes and counters, all five fallback reasons, multiple functions
 /// and artifacts (including an unchecksummed trace entry).
-SessionStore sampleSession() {
+SessionStore testutil::sampleSessionStore() {
   SessionStore S;
   S.Tool = "ipas-cc";
   S.ModuleName = "sample \"quoted\" \n module";
@@ -88,8 +86,10 @@ SessionStore sampleSession() {
   return S;
 }
 
+namespace {
+
 TEST(SessionStore, RoundTripIsByteIdentical) {
-  SessionStore S = sampleSession();
+  SessionStore S = sampleSessionStore();
   std::string Bytes;
   obs::serializeSessionStore(S, Bytes);
 
@@ -127,58 +127,13 @@ TEST(SessionStore, RoundTripIsByteIdentical) {
   EXPECT_EQ(Bytes, Bytes2);
 }
 
-TEST(SessionStore, RejectsBadMagicAndVersion) {
-  std::string Bytes;
-  obs::serializeSessionStore(sampleSession(), Bytes);
-
-  SessionStore S;
-  std::string Err;
-  std::string Bad = Bytes;
-  Bad[0] = 'X';
-  EXPECT_FALSE(obs::parseSessionStore(S, Bad, &Err));
-  EXPECT_NE(Err.find("magic"), std::string::npos) << Err;
-
-  // The version field is the u32 right after the 8-byte magic.
-  for (uint32_t V : {0u, obs::SessionStoreVersion + 1}) {
-    Bad = Bytes;
-    Bad[8] = static_cast<char>(V & 0xff);
-    Bad[9] = static_cast<char>((V >> 8) & 0xff);
-    Bad[10] = Bad[11] = 0;
-    EXPECT_FALSE(obs::parseSessionStore(S, Bad, &Err)) << "version " << V;
-    EXPECT_NE(Err.find("version"), std::string::npos) << Err;
-  }
-}
-
-TEST(SessionStore, RejectsTruncationCorruptionAndTrailingBytes) {
-  std::string Bytes;
-  obs::serializeSessionStore(sampleSession(), Bytes);
-
-  SessionStore S;
-  std::string Err;
-  // Truncation at every prefix length must fail, never crash or
-  // half-parse.
-  for (size_t Len = 0; Len != Bytes.size(); ++Len)
-    EXPECT_FALSE(obs::parseSessionStore(S, Bytes.substr(0, Len), &Err))
-        << "prefix of " << Len << " bytes parsed";
-
-  // A flipped payload byte must trip the checksum.
-  std::string Bad = Bytes;
-  Bad[Bytes.size() / 2] ^= 0x40;
-  EXPECT_FALSE(obs::parseSessionStore(S, Bad, &Err));
-  EXPECT_NE(Err.find("checksum"), std::string::npos) << Err;
-
-  // Trailing garbage is rejected too: an .ipses file is one manifest.
-  Bad = Bytes + "x";
-  EXPECT_FALSE(obs::parseSessionStore(S, Bad, &Err));
-}
-
 TEST(SessionStore, RejectsAbsurdElementCounts) {
   // A corrupt count field must be caught by the remaining-bytes guard,
   // not turned into a multi-gigabyte allocation: overwrite successive
   // 8-byte windows with 0xff — any huge count implies fewer bytes than
   // needed, so every such mutation must fail cleanly.
   std::string Bytes;
-  obs::serializeSessionStore(sampleSession(), Bytes);
+  obs::serializeSessionStore(sampleSessionStore(), Bytes);
   SessionStore S;
   std::string Err;
   for (size_t Pos = 20; Pos + 8 < Bytes.size(); Pos += 16) {

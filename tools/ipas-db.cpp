@@ -54,44 +54,8 @@ using namespace ipas;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Small file helpers
+// Small helpers
 //===----------------------------------------------------------------------===//
-
-bool readFileBytes(const std::string &Path, std::string &Out,
-                   std::string *Err) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "'";
-    return false;
-  }
-  Out.clear();
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  bool Ok = !std::ferror(F);
-  std::fclose(F);
-  if (!Ok && Err)
-    *Err = "read error on '" + Path + "'";
-  return Ok;
-}
-
-bool writeFileBytes(const std::string &Path, const std::string &Bytes,
-                    std::string *Err) {
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  bool Ok = Written == Bytes.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok && Err)
-    *Err = "short write to '" + Path + "'";
-  return Ok;
-}
 
 std::string dirnameOf(const std::string &Path) {
   size_t Slash = Path.find_last_of('/');
@@ -131,8 +95,7 @@ bool loadIndex(const std::string &Hist, std::vector<LedgerEntry> &Entries,
                std::string *Err) {
   Entries.clear();
   std::string Text;
-  std::string ReadErr;
-  if (!readFileBytes(indexPath(Hist), Text, &ReadErr))
+  if (!obs::readFile(indexPath(Hist), Text))
     return true; // An absent index is an empty history.
   size_t Pos = 0;
   while (Pos < Text.size()) {
@@ -253,7 +216,7 @@ int cmdIngest(const std::string &Hist,
   // outputs qualify.
   std::string BenchBytes;
   if (!BenchFile.empty()) {
-    if (!readFileBytes(BenchFile, BenchBytes, &Err)) {
+    if (!obs::readFile(BenchFile, BenchBytes, &Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
@@ -266,7 +229,7 @@ int cmdIngest(const std::string &Hist,
 
   for (const std::string &Path : Manifests) {
     std::string Bytes;
-    if (!readFileBytes(Path, Bytes, &Err)) {
+    if (!obs::readFile(Path, Bytes, &Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
@@ -321,13 +284,13 @@ int cmdIngest(const std::string &Hist,
     LedgerEntry E;
     E.Id = Id;
     E.File = Id + ".ipses";
-    if (!writeFileBytes(Hist + "/" + E.File, Bytes, &Err)) {
+    if (!obs::writeFile(Hist + "/" + E.File, Bytes, &Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
     if (!BenchFile.empty()) {
       std::string Stored = Id.substr(0, 8) + "-" + basenameOf(BenchFile);
-      if (!writeFileBytes(Hist + "/" + Stored, BenchBytes, &Err)) {
+      if (!obs::writeFile(Hist + "/" + Stored, BenchBytes, &Err)) {
         std::fprintf(stderr, "error: %s\n", Err.c_str());
         return 1;
       }
@@ -757,7 +720,7 @@ int cmdHtml(const std::string &Hist, const std::string &OutPath) {
     std::fwrite(H.data(), 1, H.size(), stdout);
     return 0;
   }
-  if (!writeFileBytes(OutPath, H, &Err)) {
+  if (!obs::writeFile(OutPath, H, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }

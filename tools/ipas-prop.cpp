@@ -56,18 +56,6 @@ const char *outcomeCodeName(uint8_t Code) {
   return "<bad outcome>";
 }
 
-const char *maskKindName(uint8_t Kind) {
-  switch (Kind) {
-  case obs::PropMaskLogical:
-    return "logical";
-  case obs::PropMaskOverwrite:
-    return "overwrite";
-  case obs::PropMaskDead:
-    return "dead";
-  }
-  return "<bad mask>";
-}
-
 /// Renders a DynReachMask / StaticSinkMask as "store+ret+ctl" ("-" when
 /// empty). The short names keep the per-record table narrow.
 std::string reachMaskString(uint32_t Mask) {

@@ -311,7 +311,7 @@ int checkStall(const Monitor &M, int64_t StallFactor) {
 /// follow loop in main() consumes it concurrently.
 void selftestWriter(const std::string &Path, uint64_t Runs,
                     uint64_t BeatMs) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  std::ofstream Out(Path, std::ios::binary | std::ios::app);
   auto Sleep = [&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(BeatMs));
   };
@@ -404,6 +404,9 @@ int main(int Argc, char **Argv) {
     if (!MaxWaitMs)
       MaxWaitMs = 10000;
     NoClear = true;
+    // Empty the file before the tail opens it, so a complete trace left
+    // by an earlier run can never be read as this run's campaign.
+    std::ofstream(Path, std::ios::binary | std::ios::trunc);
     Writer = std::thread(selftestWriter, Path, uint64_t{200}, uint64_t{20});
   }
 
