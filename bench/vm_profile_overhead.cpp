@@ -98,21 +98,17 @@ struct VariantState {
 
   VariantState(Variant V, const ModuleLayout &Layout)
       : V(V), H("kernel", {RtValue::fromI64(24)}),
-        Prof(Layout, CostProfiler::Mode::Counting) {
-    H.setPreferredBackend(V == Variant::InterpCounting ? ExecBackend::Interp
-                                                       : ExecBackend::Vm);
-  }
+        Prof(Layout, CostProfiler::Mode::Counting) {}
 
   void batch(const ModuleLayout &Layout, size_t N) {
+    RunRequest Req{.Backend = V == Variant::InterpCounting
+                                  ? ExecBackend::Interp
+                                  : ExecBackend::Vm,
+                   .Profiler = V == Variant::VmPlain ? nullptr : &Prof};
     uint64_t T0 = obs::monotonicMicros();
     for (size_t R = 0; R != N; ++R) {
-      ExecutionRecord Rec;
-      if (V == Variant::VmPlain) {
-        Rec = H.execute(Layout, nullptr, UINT64_MAX);
-      } else {
-        Rec = H.executeProfiled(Layout, Prof);
-        StepsTotal += Rec.Steps;
-      }
+      ExecutionRecord Rec = H.execute(Layout, Req);
+      StepsTotal += Rec.Steps;
       if (Rec.Status != RunStatus::Finished || !Rec.OutputValid) {
         std::fprintf(stderr, "error: clean run failed\n");
         std::exit(1);
@@ -177,9 +173,9 @@ bool sameProfile(const ModuleLayout &Layout) {
   int I = 0;
   for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
     FunctionHarness H("kernel", {RtValue::fromI64(24)});
-    H.setPreferredBackend(B);
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
-    ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+    ExecutionRecord Rec =
+        H.execute(Layout, RunRequest{.Backend = B, .Profiler = &Prof});
     if (Rec.Status != RunStatus::Finished)
       return false;
     Counts[I++] = Prof.flatCounts();

@@ -106,13 +106,13 @@ void writeVariantProfile(const Workload &W, const PipelineConfig &Cfg,
   WorkloadHarness Harness(W, Cfg.InputLevel);
   // Counting-mode profiling runs natively on either backend, so the
   // profiled clean run honors the pipeline's backend choice the same
-  // way its campaigns do (a no-op for harnesses without a VM path).
-  Harness.setPreferredBackend(Cfg.Backend);
+  // way its campaigns do.
   CostProfiler Prof(*PM.Layout, CostProfiler::Mode::Counting);
   ProfileBuildInputs In;
   In.EntryFunction = Workload::EntryName;
   In.Label = Label;
   In.SourceText = W.source();
+  In.Backend = Cfg.Backend;
   obs::ProfileStore S;
   std::string Err;
   if (!buildProfileStore(Harness, *PM.Layout, Prof, In, S, &Err)) {
@@ -124,10 +124,10 @@ void writeVariantProfile(const Workload &W, const PipelineConfig &Cfg,
 
   IpasPipeline::ProtectedModule Base = P.protectNone();
   WorkloadHarness BaseHarness(W, Cfg.InputLevel);
-  BaseHarness.setPreferredBackend(Cfg.Backend);
   CostProfiler BaseProf(*Base.Layout, CostProfiler::Mode::Counting,
                         Prof.model());
-  ExecutionRecord R = BaseHarness.executeProfiled(*Base.Layout, BaseProf);
+  ExecutionRecord R = BaseHarness.execute(
+      *Base.Layout, RunRequest{.Backend = Cfg.Backend, .Profiler = &BaseProf});
   if (R.Status == RunStatus::Finished && R.OutputValid) {
     if (!attributeOverhead(*Base.M, BaseProf.flatCounts(), *PM.M,
                            Prof.flatCounts(), Prof.model(), S, &Err))

@@ -97,16 +97,13 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   obs::PhaseSpan Span("campaign",
                       obs::AttrSet().add("label", Label));
 
-  // Select the execution engine before the first run so the golden
-  // output and clean step counts come from the same backend as the
-  // injection loop (they are equal across backends by construction, but
-  // the VM compiles lazily on first execute — doing that here, on the
-  // serial clean run, keeps the threaded loop below race-free).
-  Harness.setPreferredBackend(Cfg.Backend);
-
-  // Clean profiling run: establishes the golden step counts and checks the
-  // program is correct to begin with.
-  ExecutionRecord Clean = Harness.execute(Layout, nullptr, UINT64_MAX);
+  // Clean profiling run: establishes the golden output and step counts
+  // and checks the program is correct to begin with. It runs on the
+  // injection loop's backend (the results are equal across backends by
+  // construction, but the VM compiles lazily on the first run — doing
+  // that here, serially, keeps the threaded loop below race-free).
+  ExecutionRecord Clean =
+      Harness.execute(Layout, RunRequest{.Backend = Cfg.Backend});
   if (Clean.Status != RunStatus::Finished || !Clean.OutputValid) {
     obs::logMessage(obs::Severity::Error,
                     "fatal: clean run failed (%s) — refusing to inject "
@@ -158,7 +155,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   std::vector<unsigned> Trace;
   std::vector<char> Pruned(Cfg.NumRuns, 0);
   if (Cfg.ProvablyBenign) {
-    Trace = Harness.traceValueSteps(Layout);
+    Trace = Harness.traceValueSteps(Layout, Cfg.Backend);
     if (Trace.size() == Clean.ValueSteps) {
       std::vector<char> SiteSeen(Cfg.ProvablyBenign->size(), 0);
       for (size_t Run = 0; Run != Cfg.NumRuns; ++Run) {
@@ -235,7 +232,9 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
       LivePruned.fetch_add(1, std::memory_order_relaxed);
     } else {
       uint64_t T0 = obs::monotonicMicros();
-      ExecutionRecord R = Harness.execute(Layout, &Plan, Budget);
+      RunRequest Req{
+          .Plan = &Plan, .StepBudget = Budget, .Backend = Cfg.Backend};
+      ExecutionRecord R = Harness.execute(Layout, Req);
       uint64_t Us = obs::monotonicMicros() - T0;
       assert((R.Status != RunStatus::Finished || R.FaultInjected) &&
              "the clean prefix must always reach the target step");
@@ -368,31 +367,23 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   // stream untouched by construction: the plans are already drawn and
   // classified, and the traced executions are independent repeats.
   if (Cfg.PropSampleEvery) {
-    if (Harness.supportsObservation()) {
-      CleanReference Ref = captureCleanReference(Harness, Layout);
-      if (Ref.Valid) {
-        for (size_t Run = 0; Run < Cfg.NumRuns;
-             Run += Cfg.PropSampleEvery) {
-          if (Pruned[Run])
-            continue; // provably benign: nothing propagates, by proof
-          obs::PhaseSpan PropSpan(
-              "campaign.prop",
-              obs::AttrSet().add("label", Label).add(
-                  "run", static_cast<uint64_t>(Run)));
-          Result.PropRecords.push_back(tracePropagation(
-              Harness, Layout, Ref, Plans[Run], Budget, Run));
-        }
-        Result.TracedRuns = Result.PropRecords.size();
-      } else {
-        obs::logMessage(obs::Severity::Warn,
-                        "%s: propagation tracing disabled: clean "
-                        "reference capture failed",
-                        Label);
+    CleanReference Ref = captureCleanReference(Harness, Layout, Cfg.Backend);
+    if (Ref.Valid) {
+      for (size_t Run = 0; Run < Cfg.NumRuns; Run += Cfg.PropSampleEvery) {
+        if (Pruned[Run])
+          continue; // provably benign: nothing propagates, by proof
+        obs::PhaseSpan PropSpan(
+            "campaign.prop",
+            obs::AttrSet().add("label", Label).add(
+                "run", static_cast<uint64_t>(Run)));
+        Result.PropRecords.push_back(tracePropagation(
+            Harness, Layout, Ref, Plans[Run], Budget, Run, Cfg.Backend));
       }
+      Result.TracedRuns = Result.PropRecords.size();
     } else {
       obs::logMessage(obs::Severity::Warn,
-                      "%s: propagation tracing requested but the harness "
-                      "does not support observation",
+                      "%s: propagation tracing disabled: clean "
+                      "reference capture failed",
                       Label);
     }
     Result.SkippedTraceRuns = Cfg.NumRuns - Result.TracedRuns;

@@ -35,17 +35,17 @@ struct CampaignConfig {
   /// Injection runs are independent, so campaigns parallelize trivially —
   /// the paper (§7) suggests exactly this for large codes. Plans are
   /// drawn up front, so results are deterministic regardless of the
-  /// thread count. Harnesses must be thread-safe for concurrent
-  /// execute() calls once their golden output is captured (the bundled
-  /// WorkloadHarness is).
+  /// thread count. The harness engine is thread-safe once the serial
+  /// clean run has captured the golden output.
   unsigned NumThreads = 1;
   /// Per-instruction-id flags from analysis/SocPropagation: a true entry
   /// means a corruption of that instruction's result provably reaches no
   /// sink, so the run's outcome is Masked without executing. Pruning does
   /// not perturb plan drawing or non-pruned runs in any way — the full
   /// campaign's per-record (InstructionId, BitIndex, Result) stream stays
-  /// bit-identical. Requires a harness that supports traceValueSteps();
-  /// null (or an unsupported harness) disables pruning.
+  /// bit-identical. Needs the clean run's value-step trace
+  /// (ProgramHarness::traceValueSteps); null, or a trace that comes back
+  /// empty, disables pruning.
   const std::vector<bool> *ProvablyBenign = nullptr;
   /// Telemetry label carried on every trace record and progress line —
   /// drivers pass the technique/variant name (empty means "campaign").
@@ -60,12 +60,13 @@ struct CampaignConfig {
   /// Emit one `campaign.run` trace record (outcome + latency) per
   /// injection when a trace sink is open.
   bool TraceRuns = true;
-  /// Execution engine for the clean run and the injection loop. Vm asks
-  /// the harness to run on the bytecode VM (10-100x faster, observably
-  /// equivalent — see DESIGN.md); harnesses that cannot honor it fall
-  /// back to the interpreter per run, and hook-dependent paths
-  /// (traceValueSteps, propagation re-execution) always use the
-  /// interpreter. The record stream is bit-identical either way.
+  /// Execution engine requested for every run of the campaign. Vm runs
+  /// on the bytecode VM (10-100x faster, observably equivalent — see
+  /// DESIGN.md). The harness engine serves each run the VM cannot
+  /// (value-step trace, propagation re-execution, multi-rank, a module
+  /// that does not compile) on the interpreter and counts it under
+  /// vm.fallback.<reason>. The record stream is bit-identical either
+  /// way.
   ExecBackend Backend = ExecBackend::Interp;
   /// Live streaming telemetry: when nonzero, a monitor thread emits one
   /// `campaign.heartbeat` trace event every HeartbeatMs milliseconds —
@@ -85,8 +86,7 @@ struct CampaignConfig {
   /// from the campaign RNG and the traced runs are separate
   /// re-executions — so the (InstructionId, BitIndex, Result) record
   /// stream is bit-identical with tracing on or off and for any
-  /// NumThreads. Requires a harness whose supportsObservation() is true;
-  /// ignored otherwise.
+  /// NumThreads. Observed runs always execute on the interpreter.
   size_t PropSampleEvery = 0;
 };
 
@@ -115,11 +115,11 @@ struct CampaignResult {
   /// profiling run (not serialized by the results cache).
   double WallSeconds = 0.0;
   /// Propagation traces of the sampled runs, in run order (empty unless
-  /// CampaignConfig::PropSampleEvery was set and the harness supports
-  /// observation). Not part of the deterministic record stream.
+  /// CampaignConfig::PropSampleEvery was set). Not part of the
+  /// deterministic record stream.
   std::vector<obs::PropRecord> PropRecords;
   /// Injections traced (== PropRecords.size()) vs skipped by sampling,
-  /// pruning, or an unobservable harness.
+  /// pruning, or a failed clean reference run.
   size_t TracedRuns = 0;
   size_t SkippedTraceRuns = 0;
   /// Executed (non-pruned) runs split by the engine that actually ran

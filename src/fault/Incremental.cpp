@@ -88,13 +88,11 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
   obs::PhaseSpan Span("campaign.incremental",
                       obs::AttrSet().add("label", Label));
 
-  // Same backend selection as runCampaign (and for the same reason: the
-  // lazy VM compile must happen on this serial clean run).
-  Harness.setPreferredBackend(Base.Backend);
-
-  // Clean profiling run — same gate as runCampaign: refuse to inject into
-  // a program that is wrong before any fault.
-  ExecutionRecord Clean = Harness.execute(Layout, nullptr, UINT64_MAX);
+  // Clean profiling run — same gate and backend as runCampaign: refuse
+  // to inject into a program that is wrong before any fault, and compile
+  // the VM program on this serial run.
+  ExecutionRecord Clean =
+      Harness.execute(Layout, RunRequest{.Backend = Base.Backend});
   if (Clean.Status != RunStatus::Finished || !Clean.OutputValid) {
     obs::logMessage(obs::Severity::Error,
                     "fatal: clean run failed (%s) — refusing to inject "
@@ -114,7 +112,8 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
   // The per-function plan domain needs the clean value-step → instruction
   // trace. Without it there is nothing to key reuse on; fall back to the
   // plain campaign (everything fresh, no function table).
-  std::vector<unsigned> Trace = Harness.traceValueSteps(Layout);
+  std::vector<unsigned> Trace =
+      Harness.traceValueSteps(Layout, Base.Backend);
   if (Trace.size() != Clean.ValueSteps || Trace.empty()) {
     obs::logMessage(obs::Severity::Warn,
                     "%s: harness cannot trace value steps; falling back "
@@ -151,18 +150,19 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
 
   // Profile hashes: the caller's profiled clean run when it supplied one
   // (ipas-cc --profile), else one profiled clean run here. All-zero when
-  // the harness cannot profile — consistently on both sides of a reuse
-  // comparison, so reuse still works, just with a weaker guard. The
-  // profiled run rides the harness's preferred backend: the VM folds
-  // the same per-function stream hashes natively, so hashes computed on
-  // one backend compare against hashes computed on the other.
+  // that run fails — consistently on both sides of a reuse comparison,
+  // so reuse still works, just with a weaker guard. The profiled run
+  // rides the campaign's backend: the VM folds the same per-function
+  // stream hashes natively, so hashes computed on one backend compare
+  // against hashes computed on the other.
   std::vector<uint64_t> Profile(NumFns, 0);
   if (Cfg.ProfileHashes && Cfg.ProfileHashes->size() == NumFns) {
     Profile = *Cfg.ProfileHashes;
-  } else if (Harness.supportsProfiling()) {
+  } else {
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
     Prof.enableFunctionHashes();
-    ExecutionRecord Obs = Harness.executeProfiled(Layout, Prof);
+    ExecutionRecord Obs = Harness.execute(
+        Layout, RunRequest{.Backend = Base.Backend, .Profiler = &Prof});
     if (Obs.Status == RunStatus::Finished && Obs.OutputValid)
       Profile = Prof.functionHashes();
     else
@@ -394,7 +394,9 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
     // injects the identical bit the raw draw would have.
     Plan.BitDraw = Rec.BitIndex;
     uint64_t T0 = obs::monotonicMicros();
-    ExecutionRecord R = Harness.execute(Layout, &Plan, Budget);
+    RunRequest Req{
+        .Plan = &Plan, .StepBudget = Budget, .Backend = Base.Backend};
+    ExecutionRecord R = Harness.execute(Layout, Req);
     uint64_t Us = obs::monotonicMicros() - T0;
     assert((R.Status != RunStatus::Finished || R.FaultInjected) &&
            "the clean prefix must always reach the target step");

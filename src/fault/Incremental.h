@@ -91,10 +91,10 @@ struct IncrementalResult {
   }
 };
 
-/// Runs an incremental campaign over \p M. Requires a harness whose
-/// traceValueSteps() works (the per-function plan domain comes from the
-/// clean trace); without it the campaign still runs, but everything is
-/// Fresh and the result carries no FunctionMetas. The record stream is
+/// Runs an incremental campaign over \p M. The per-function plan domain
+/// comes from the clean value-step trace; when that trace comes back
+/// empty the campaign still runs, but everything is Fresh and the
+/// result carries no FunctionMetas. The record stream is
 /// deterministic for a fixed (module, seed, NumRuns) regardless of
 /// thread count or prior store — a reusable prior only swaps execution
 /// for lookup of identical rows.

@@ -34,19 +34,14 @@ bool ipas::buildProfileStore(ProgramHarness &Harness,
                              obs::ProfileStore &Out, std::string *Err) {
   const Module &M = Layout.module();
   assert(&M == &Prof.module() && "profiler built for a different layout");
-  if (!Harness.supportsProfiling()) {
-    if (Err)
-      *Err = "harness does not support profiling";
-    return false;
-  }
-
   bool CtxMode = Prof.mode() == CostProfiler::Mode::Context;
   obs::PhaseSpan Span(
       CtxMode ? "profile.context" : "profile.clean",
       obs::AttrSet()
           .add("entry", In.EntryFunction)
           .add("label", In.Label.empty() ? "profile" : In.Label.c_str()));
-  ExecutionRecord R = Harness.executeProfiled(Layout, Prof);
+  ExecutionRecord R = Harness.execute(
+      Layout, RunRequest{.Backend = In.Backend, .Profiler = &Prof});
   if (R.Status != RunStatus::Finished || !R.OutputValid) {
     if (Err)
       *Err = "profiled clean run did not finish with valid output";

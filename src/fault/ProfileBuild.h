@@ -33,14 +33,17 @@ struct ProfileBuildInputs {
   std::string Label;
   /// MiniC source of the profiled build, for the per-line cost heatmap.
   std::string SourceText;
+  /// Requested engine: counting mode runs natively on the VM, context
+  /// mode falls back to the interpreter (vm.fallback.profile_context).
+  ExecBackend Backend = ExecBackend::Interp;
 };
 
 /// Runs one profiled clean execution of \p Harness over \p Layout with
 /// \p Prof (constructed by the caller in the desired mode, so the caller
 /// can also read its function hashes afterwards) and fills \p Out from
 /// the counts. Emits a `profile.clean` (counting) or `profile.context`
-/// span. Returns false with \p *Err when the harness cannot profile or
-/// the clean run does not finish with valid output.
+/// span. Returns false with \p *Err when the clean run does not finish
+/// with valid output.
 bool buildProfileStore(ProgramHarness &Harness, const ModuleLayout &Layout,
                        CostProfiler &Prof, const ProfileBuildInputs &In,
                        obs::ProfileStore &Out, std::string *Err);

@@ -495,11 +495,12 @@ private:
 } // namespace
 
 CleanReference ipas::captureCleanReference(ProgramHarness &Harness,
-                                           const ModuleLayout &Layout) {
+                                           const ModuleLayout &Layout,
+                                           ExecBackend Requested) {
   CleanReference Ref;
   CleanRecorder Recorder(Ref);
-  ExecutionRecord R =
-      Harness.executeObserved(Layout, nullptr, UINT64_MAX, Recorder);
+  ExecutionRecord R = Harness.execute(
+      Layout, RunRequest{.Backend = Requested, .Observer = &Recorder});
   Ref.Valid = R.Status == RunStatus::Finished && R.OutputValid;
   if (!Ref.Valid) {
     Ref.Ids.clear();
@@ -515,10 +516,12 @@ obs::PropRecord ipas::tracePropagation(ProgramHarness &Harness,
                                        const CleanReference &Ref,
                                        const FaultPlan &Plan,
                                        uint64_t StepBudget,
-                                       uint64_t RunIndex) {
+                                       uint64_t RunIndex,
+                                       ExecBackend Requested) {
   PropagationTracer Tracer(Layout, Ref, Plan.TargetValueStep);
-  ExecutionRecord R =
-      Harness.executeObserved(Layout, &Plan, StepBudget, Tracer);
+  RunRequest Req{.Plan = &Plan, .StepBudget = StepBudget,
+                 .Backend = Requested, .Observer = &Tracer};
+  ExecutionRecord R = Harness.execute(Layout, Req);
   obs::PropRecord Rec = Tracer.finish(R);
   Rec.RunIndex = RunIndex;
   Rec.InstructionId = R.FaultedInstructionId;

@@ -60,9 +60,12 @@ struct CleanReference {
 
 /// Runs one observed clean execution of \p Harness and captures the
 /// reference. Valid is false when the clean run did not finish (the
-/// campaign driver then skips propagation tracing).
-CleanReference captureCleanReference(ProgramHarness &Harness,
-                                     const ModuleLayout &Layout);
+/// campaign driver then skips propagation tracing). Observed runs are
+/// interpreter runs; \p Requested only decides whether they count as VM
+/// fallbacks.
+CleanReference
+captureCleanReference(ProgramHarness &Harness, const ModuleLayout &Layout,
+                      ExecBackend Requested = ExecBackend::Interp);
 
 /// Re-executes the injection described by \p Plan under full observation
 /// and returns its propagation record. RunIndex, bit/step identity, and
@@ -72,7 +75,8 @@ obs::PropRecord tracePropagation(ProgramHarness &Harness,
                                  const ModuleLayout &Layout,
                                  const CleanReference &Ref,
                                  const FaultPlan &Plan, uint64_t StepBudget,
-                                 uint64_t RunIndex);
+                                 uint64_t RunIndex,
+                                 ExecBackend Requested = ExecBackend::Interp);
 
 /// Everything buildPropagationStore needs. Module and campaign result
 /// are required; the static/classifier columns (which this layer cannot

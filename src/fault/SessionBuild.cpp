@@ -19,18 +19,6 @@
 
 using namespace ipas;
 
-namespace {
-
-/// The canonical vm.fallback.* reason set (fault/ProgramHarness.cpp).
-/// Always recorded in this order, zero or not, so the serialized layout
-/// does not depend on which reasons happened to fire.
-const char *const FallbackReasons[] = {
-    "vm.fallback.compile", "vm.fallback.observer",
-    "vm.fallback.profile_context", "vm.fallback.trace",
-    "vm.fallback.other"};
-
-} // namespace
-
 obs::SessionStore ipas::buildSessionStore(const SessionBuildInputs &In) {
   assert(In.M && In.Result && "module and campaign result are required");
   const Module &M = *In.M;
@@ -58,7 +46,9 @@ obs::SessionStore ipas::buildSessionStore(const SessionBuildInputs &In) {
   S.OutcomeTotals.assign(R.Counts.begin(), R.Counts.end());
 
   obs::MetricsRegistry &Reg = obs::MetricsRegistry::global();
-  for (const char *Name : FallbackReasons) {
+  // Every reason, zero or not, in VmFallbackCounters order, so the
+  // serialized layout does not depend on which reasons happened to fire.
+  for (const char *Name : VmFallbackCounters) {
     S.FallbackReasons.push_back(Name);
     S.FallbackCounts.push_back(Reg.counter(Name).value());
   }

@@ -7,6 +7,7 @@
 #include "ir/IRPrinter.h"
 
 #include "ir/Module.h"
+#include "support/Compiler.h"
 
 #include <map>
 #include <sstream>
@@ -42,12 +43,14 @@ public:
       OS << CF->value();
       return OS.str();
     }
+    IPAS_GCC_RESTRICT_FALSE_POSITIVE_BEGIN
     if (!V->name().empty())
       return "%" + V->name() + suffixFor(V);
     auto It = Numbers.find(V);
     if (It == Numbers.end())
       It = Numbers.emplace(V, NextNumber++).first;
     return "%" + std::to_string(It->second);
+    IPAS_GCC_RESTRICT_FALSE_POSITIVE_END
   }
 
 private:

@@ -7,6 +7,7 @@
 #include "testing/ProgramGen.h"
 
 #include "testing/SourcePrinter.h"
+#include "support/Compiler.h"
 #include "support/Random.h"
 
 #include <cassert>
@@ -637,7 +638,9 @@ private:
     // recursive call decrements to be the depth this frame was given.
     Vars.push_back({"d", true, false, -1, false});
     for (size_t I = 1; I != Self.ParamIsInt.size(); ++I) {
+      IPAS_GCC_RESTRICT_FALSE_POSITIVE_BEGIN
       std::string Name = "p" + std::to_string(I);
+      IPAS_GCC_RESTRICT_FALSE_POSITIVE_END
       FD->Params.push_back({Self.ParamIsInt[I] ? MCType::intTy()
                                                : MCType::doubleTy(),
                             Name, noLoc()});
@@ -696,7 +699,9 @@ private:
     FD->Name = Sig.Name;
     FD->Loc = noLoc();
     for (unsigned I = 0; I != NumParams; ++I) {
+      IPAS_GCC_RESTRICT_FALSE_POSITIVE_BEGIN
       std::string Name = "p" + std::to_string(I);
+      IPAS_GCC_RESTRICT_FALSE_POSITIVE_END
       FD->Params.push_back({Sig.ParamIsInt[I] ? MCType::intTy()
                                               : MCType::doubleTy(),
                             Name, noLoc()});

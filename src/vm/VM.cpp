@@ -135,6 +135,13 @@ VmContext::VmContext(const VmProgram &Prog, const Config &C)
 #define VM_NEXT() goto dispatch
 #endif
 
+std::vector<RtValue> VmContext::output() const {
+  std::vector<RtValue> Out(Cfg.OutputSlots);
+  for (uint64_t K = 0; K != Cfg.OutputSlots; ++K)
+    Out[K].Bits = Arena.read64(OutputAddr + K * 8);
+  return Out;
+}
+
 VmContext::Result VmContext::run(uint32_t FnIndex,
                                  const std::vector<RtValue> &Args,
                                  const FaultPlan *Plan, uint64_t MaxSteps,
@@ -158,12 +165,17 @@ VmContext::Result VmContext::runImpl(uint32_t FnIndex,
                                      const ProfileHook *Prof) {
   Result Res;
   Arena.reset();
+  if (Cfg.OutputSlots) {
+    OutputAddr = Arena.mallocBytes(Cfg.OutputSlots * 8);
+    assert(OutputAddr && "host output allocation failed: enlarge heap config");
+  }
   WorkloadRng.reseed(Cfg.WorkloadRngSeed);
   Frames.clear();
 
   assert(FnIndex < P.Functions.size() && "bad entry function index");
   const VmFunction &Entry = P.Functions[FnIndex];
-  assert(Entry.NumArgs == Args.size() && "entry argument count mismatch");
+  assert(Entry.NumArgs == Args.size() + (Cfg.OutputSlots ? 1 : 0) &&
+         "entry argument count mismatch");
   if (RegStack.size() < Entry.regsTotal())
     RegStack.resize(Entry.regsTotal());
   // Register files are not cleared between runs: the IR verifier
@@ -172,6 +184,8 @@ VmContext::Result VmContext::runImpl(uint32_t FnIndex,
   // edge just wrote, and arguments/constants are rewritten here.
   for (size_t K = 0; K != Args.size(); ++K)
     RegStack[K] = Args[K].Bits;
+  if (Cfg.OutputSlots)
+    RegStack[Args.size()] = OutputAddr;
   std::copy(Entry.ConstPool.begin(), Entry.ConstPool.end(),
             RegStack.begin() + Entry.ConstBase);
   {

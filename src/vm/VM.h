@@ -14,8 +14,8 @@
 /// ProfileHook is armed, counting-mode profiling (per-site counts and
 /// per-function stream hashes, bit-identical to the interpreter's).
 /// Anything it cannot express (observers, value-step traces,
-/// multi-rank MPI) stays on the interpreter — the harness falls back
-/// per run and tags the record with a vm.fallback reason.
+/// multi-rank MPI) stays on the interpreter — the harness engine falls
+/// back per run and tags the record with a vm.fallback reason.
 ///
 /// Two things make it fast:
 ///  - threaded dispatch over flat pre-decoded instructions with all
@@ -125,14 +125,20 @@ private:
 /// Reusable execution state for one VmProgram: arena, register stack and
 /// frame stack. run() fully resets the context, so one VmContext can
 /// serve thousands of campaign runs back to back; it is not
-/// thread-safe — use one context per thread (FunctionHarness keeps a
-/// pool).
+/// thread-safe — use one context per thread (the ProgramHarness engine
+/// keeps a pool).
 class VmContext {
 public:
   struct Config {
     Memory::Config Mem;
     unsigned MaxCallDepth = 512;
     uint64_t WorkloadRngSeed = 0x1234abcd;
+    /// Host output buffer, in 8-byte slots: when nonzero, every run
+    /// allocates it right after the arena reset — the same bump
+    /// allocation, hence the same address, as
+    /// ExecutionContext::hostAlloc on a fresh context — and passes its
+    /// address as the entry's last argument. output() reads it back.
+    uint64_t OutputSlots = 0;
   };
 
   struct Result {
@@ -166,6 +172,9 @@ public:
   Result run(uint32_t FnIndex, const std::vector<RtValue> &Args,
              const FaultPlan *Plan, uint64_t MaxSteps,
              const ProfileHook *Prof = nullptr);
+
+  /// The last run's host output buffer (Config::OutputSlots values).
+  std::vector<RtValue> output() const;
 
 private:
   /// Dispatch-loop instantiation selector: profiling off, site counts
@@ -201,6 +210,7 @@ private:
   const VmProgram &P;
   Config Cfg;
   VmArena Arena;
+  uint64_t OutputAddr = 0;
   std::vector<uint64_t> RegStack;
   std::vector<VmFrame> Frames;
   Rng WorkloadRng;

@@ -6,168 +6,23 @@
 
 #include "workloads/WorkloadHarness.h"
 
-#include "interp/CostProfiler.h"
-
-#include <cstdio>
-#include <cstdlib>
-
 using namespace ipas;
 
-/// Reads \p Slots 8-byte values starting at \p Addr.
-static std::vector<RtValue> readOutput(const Memory &Mem, uint64_t Addr,
-                                       uint64_t Slots) {
-  std::vector<RtValue> Out;
-  if (!Mem.validRange(Addr, Slots * 8))
-    return Out; // leaves Out empty; caller treats as invalid
-  Out.reserve(Slots);
-  for (uint64_t K = 0; K != Slots; ++K) {
-    RtValue V;
-    V.Bits = Mem.read64(Addr + K * 8);
-    Out.push_back(V);
-  }
-  return Out;
-}
-
-bool WorkloadHarness::verifyAgainstGolden(
-    const std::vector<RtValue> &Output) {
-  if (Output.empty())
-    return false;
-  if (Golden.empty()) {
-    // First clean run: the output becomes the golden reference, but it
-    // must still satisfy the workload's internal invariants.
-    bool Ok = W.verify(Output, Output, Params);
-    if (Ok)
-      Golden = Output;
-    return Ok;
-  }
-  return W.verify(Output, Golden, Params);
-}
-
-ExecutionRecord WorkloadHarness::execute(const ModuleLayout &Layout,
-                                         const FaultPlan *Plan,
-                                         uint64_t StepBudget) {
-  if (NumRanks <= 1)
-    return executeSerial(Layout, Plan, StepBudget);
-  assert(!Plan && "fault injection into parallel jobs is driven per-rank "
-                  "via MpiJob directly (coverage campaigns are serial)");
-  return executeParallel(Layout, StepBudget);
-}
-
-std::vector<unsigned>
-WorkloadHarness::traceValueSteps(const ModuleLayout &Layout) {
-  assert(NumRanks <= 1 &&
-         "value-step tracing is defined for serial runs only");
-  std::vector<unsigned> Trace;
-  ExecutionRecord R = executeSerial(Layout, nullptr, UINT64_MAX, &Trace);
-  if (R.Status != RunStatus::Finished)
-    return {}; // broken program; let the campaign driver notice normally
-  return Trace;
-}
-
-ExecutionRecord WorkloadHarness::executeObserved(const ModuleLayout &Layout,
-                                                 const FaultPlan *Plan,
-                                                 uint64_t StepBudget,
-                                                 ExecObserver &Obs) {
-  assert(NumRanks <= 1 &&
-         "propagation tracing is defined for serial runs only");
-  return executeSerial(Layout, Plan, StepBudget, nullptr, &Obs);
-}
-
-ExecutionRecord WorkloadHarness::executeProfiled(const ModuleLayout &Layout,
-                                                 CostProfiler &Prof) {
-  assert(NumRanks <= 1 && "cost profiling is defined for serial runs only");
-  return executeSerial(Layout, nullptr, UINT64_MAX, nullptr, nullptr, &Prof);
-}
-
-ExecutionRecord WorkloadHarness::executeSerial(const ModuleLayout &Layout,
-                                               const FaultPlan *Plan,
-                                               uint64_t StepBudget,
-                                               std::vector<unsigned> *Trace,
-                                               ExecObserver *Obs,
-                                               CostProfiler *Prof) {
-  const Function *Entry = Layout.module().getFunction(Workload::EntryName);
-  assert(Entry && "workload module lacks its entry function");
-
-  ExecutionContext::Config Cfg;
-  Cfg.Mem = W.memoryConfig(Params);
-  Cfg.WorkloadRngSeed = WorkloadSeed;
-  ExecutionContext Ctx(Layout, Cfg);
-
-  uint64_t Slots = W.outputSlots(Params);
-  uint64_t OutPtr = Ctx.hostAlloc(Slots);
-  assert(OutPtr && "host output allocation failed: enlarge heap config");
-
+static std::vector<RtValue> argsOf(const std::vector<int64_t> &Params) {
   std::vector<RtValue> Args;
-  Args.reserve(Params.size() + 1);
+  Args.reserve(Params.size());
   for (int64_t P : Params)
     Args.push_back(RtValue::fromI64(P));
-  Args.push_back(RtValue::fromPtr(OutPtr));
-  assert(Entry->numArgs() == Args.size() &&
-         "workload entry arity does not match its declared parameters");
-
-  if (Plan)
-    Ctx.setFaultPlan(*Plan);
-  if (Trace)
-    Ctx.setValueStepTrace(Trace);
-  if (Obs)
-    Ctx.setObserver(Obs);
-  if (Prof)
-    Prof->attach(Ctx, Entry); // arms site counts (+observer when needed)
-  Ctx.start(Entry, Args);
-  RunStatus S = Ctx.run(StepBudget);
-
-  ExecutionRecord R;
-  R.Status = S;
-  R.Trap = Ctx.trap();
-  R.Steps = Ctx.steps();
-  R.ValueSteps = Ctx.valueSteps();
-  R.CriticalPathCycles = Ctx.steps() + Ctx.commCost();
-  R.FaultInjected = Ctx.faultWasInjected();
-  R.FaultedInstructionId = Ctx.faultedInstructionId();
-  if (S == RunStatus::Finished) {
-    std::vector<RtValue> Output = readOutput(Ctx.memory(), OutPtr, Slots);
-    R.OutputValid = verifyAgainstGolden(Output);
-  }
-  return R;
+  return Args;
 }
 
-ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
-                                                 uint64_t StepBudget) {
-  const Function *Entry = Layout.module().getFunction(Workload::EntryName);
-  assert(Entry && "workload module lacks its entry function");
-
-  MpiJob::Config JobCfg;
-  JobCfg.NumRanks = NumRanks;
-  JobCfg.Rank.Mem = W.memoryConfig(Params);
-  JobCfg.Rank.WorkloadRngSeed = WorkloadSeed;
-  JobCfg.StepBudgetPerRank = StepBudget;
-  MpiJob Job(Layout, JobCfg);
-
-  uint64_t Slots = W.outputSlots(Params);
-  std::vector<uint64_t> OutPtrs(static_cast<size_t>(NumRanks), 0);
-  Job.start(Entry, [&](ExecutionContext &Ctx, int Rank) {
-    uint64_t OutPtr = Ctx.hostAlloc(Slots);
-    assert(OutPtr && "host output allocation failed: enlarge heap config");
-    OutPtrs[static_cast<size_t>(Rank)] = OutPtr;
-    std::vector<RtValue> Args;
-    for (int64_t P : Params)
-      Args.push_back(RtValue::fromI64(P));
-    Args.push_back(RtValue::fromPtr(OutPtr));
-    return Args;
-  });
-  JobResult JR = Job.run();
-
-  ExecutionRecord R;
-  R.Status = JR.Status;
-  R.Trap = JR.Trap;
-  R.Steps = JR.TotalSteps;
-  R.ValueSteps = Job.rank(0).valueSteps();
-  R.CriticalPathCycles = JR.CriticalPathCycles;
-  if (JR.Status == RunStatus::Finished) {
-    // Rank 0's output is canonical (every rank assembles the full result).
-    std::vector<RtValue> Output =
-        readOutput(Job.rank(0).memory(), OutPtrs[0], Slots);
-    R.OutputValid = verifyAgainstGolden(Output);
-  }
-  return R;
-}
+WorkloadHarness::WorkloadHarness(const Workload &W,
+                                 std::vector<int64_t> Params, int NumRanks,
+                                 uint64_t WorkloadSeed)
+    : ProgramHarness({.Entry = Workload::EntryName,
+                      .Args = argsOf(Params),
+                      .Mem = W.memoryConfig(Params),
+                      .WorkloadSeed = WorkloadSeed,
+                      .OutputSlots = W.outputSlots(Params),
+                      .NumRanks = NumRanks}),
+      W(W), Params(std::move(Params)) {}

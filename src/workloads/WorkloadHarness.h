@@ -8,61 +8,35 @@
 #define IPAS_WORKLOADS_WORKLOADHARNESS_H
 
 #include "fault/ProgramHarness.h"
-#include "mpi/SimMpi.h"
 #include "workloads/Workload.h"
 
 namespace ipas {
 
-/// Executes a workload (serial or multi-rank) under the campaign driver.
-/// The first clean execution captures the golden output used by the
-/// verification routine. Fault injection is supported for serial runs
-/// (the paper's coverage methodology, §6); multi-rank runs are used for
-/// the scalability measurements.
+/// Describes a workload (serial or multi-rank) to the campaign engine:
+/// its entry, input parameters, memory, output buffer and verification
+/// routine. The first clean execution captures the golden output. Fault
+/// injection is supported for serial runs (the paper's coverage
+/// methodology, §6); multi-rank runs are used for the scalability
+/// measurements.
 class WorkloadHarness : public ProgramHarness {
 public:
   WorkloadHarness(const Workload &W, int InputLevel, int NumRanks = 1,
                   uint64_t WorkloadSeed = 0x1234abcd)
-      : W(W), Params(W.inputParams(InputLevel)), NumRanks(NumRanks),
-        WorkloadSeed(WorkloadSeed) {}
+      : WorkloadHarness(W, W.inputParams(InputLevel), NumRanks,
+                        WorkloadSeed) {}
 
-  ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget) override;
-
-  /// Clean serial run with value-step tracing (see ProgramHarness).
-  std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout) override;
-
-  /// Propagation tracing is defined for serial runs only (coverage
-  /// campaigns are serial; see execute()).
-  bool supportsObservation() const override { return NumRanks <= 1; }
-  ExecutionRecord executeObserved(const ModuleLayout &Layout,
-                                  const FaultPlan *Plan, uint64_t StepBudget,
-                                  ExecObserver &Obs) override;
-
-  /// Cost profiling rides the same serial clean-run machinery.
-  bool supportsProfiling() const override { return NumRanks <= 1; }
-  ExecutionRecord executeProfiled(const ModuleLayout &Layout,
-                                  CostProfiler &Prof) override;
-
-  /// Golden output captured by the first clean run (empty before that).
-  const std::vector<RtValue> &golden() const { return Golden; }
-
-  const std::vector<int64_t> &params() const { return Params; }
+protected:
+  bool verify(const std::vector<RtValue> &Output,
+              const std::vector<RtValue> &Gold) const override {
+    return W.verify(Output, Gold, Params);
+  }
 
 private:
-  ExecutionRecord executeSerial(const ModuleLayout &Layout,
-                                const FaultPlan *Plan, uint64_t StepBudget,
-                                std::vector<unsigned> *Trace = nullptr,
-                                ExecObserver *Obs = nullptr,
-                                CostProfiler *Prof = nullptr);
-  ExecutionRecord executeParallel(const ModuleLayout &Layout,
-                                  uint64_t StepBudget);
-  bool verifyAgainstGolden(const std::vector<RtValue> &Output);
+  WorkloadHarness(const Workload &W, std::vector<int64_t> Params,
+                  int NumRanks, uint64_t WorkloadSeed);
 
   const Workload &W;
   std::vector<int64_t> Params;
-  int NumRanks;
-  uint64_t WorkloadSeed;
-  std::vector<RtValue> Golden;
 };
 
 } // namespace ipas

@@ -49,7 +49,7 @@ ProfiledRun profileOnce(const Module &M, const std::string &Fn,
   CostProfiler Prof(Layout, Mode);
   if (WithHashes)
     Prof.enableFunctionHashes();
-  ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+  ExecutionRecord Rec = H.execute(Layout, RunRequest{.Profiler = &Prof});
   EXPECT_EQ(Rec.Status, RunStatus::Finished);
   EXPECT_TRUE(Rec.OutputValid);
   EXPECT_EQ(Prof.totalSteps(), Rec.Steps);
@@ -125,7 +125,7 @@ TEST(CostProfiler, ContextTreeHasOneNodePerCallPath) {
   ModuleLayout Layout(*M);
   FunctionHarness H("f", {RtValue::fromI64(7)});
   CostProfiler Prof(Layout, CostProfiler::Mode::Context);
-  ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+  ExecutionRecord Rec = H.execute(Layout, RunRequest{.Profiler = &Prof});
   ASSERT_EQ(Rec.Status, RunStatus::Finished);
 
   // Call paths: f, f->g, f->h, f->h->g — four distinct contexts.
@@ -362,7 +362,7 @@ std::string campaignRecordBytes(unsigned NumThreads, bool ProfileFirst) {
   if (ProfileFirst) {
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
     Prof.enableFunctionHashes();
-    ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+    ExecutionRecord Rec = H.execute(Layout, RunRequest{.Profiler = &Prof});
     EXPECT_EQ(Rec.Status, RunStatus::Finished);
   }
 

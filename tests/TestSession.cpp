@@ -24,6 +24,14 @@
 #include "transform/Duplication.h"
 
 #include <cstdio>
+#include <fcntl.h>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <spawn.h>
+#include <sys/wait.h>
+
+extern char **environ;
 
 using namespace ipas;
 using namespace ipas::testutil;
@@ -259,3 +267,58 @@ TEST(SessionStore, ManifestDeterministicAcrossThreadCounts) {
 }
 
 } // namespace
+
+// Concurrent `ipas-db ingest` processes race on one history, each given
+// the same distinct manifests starting at a different one. The ledger
+// index lock serializes read-dedupe-append, so every manifest must land
+// in ledger.idx exactly once, in every round.
+TEST(SessionLedger, ConcurrentIngestsLandEachSessionOnce) {
+  constexpr int NumManifests = 16, NumProcs = 4, NumRounds = 16;
+  const std::string Dir = ::testing::TempDir() + "ipas-ledger-concurrent";
+  std::vector<std::string> Paths;
+  SessionStore S = sampleSessionStore();
+  for (int K = 0; K != NumManifests; ++K) {
+    S.SessionLabel = "session-" + std::to_string(K);
+    Paths.push_back(Dir + "-" + std::to_string(K) + ".ipses");
+    ASSERT_TRUE(obs::writeSessionStore(S, Paths.back()));
+  }
+
+  for (int Round = 0; Round != NumRounds; ++Round) {
+    std::filesystem::remove_all(Dir);
+    std::vector<pid_t> Pids;
+    for (int P = 0; P != NumProcs; ++P) {
+      std::vector<const char *> Argv = {IPAS_DB_PATH, "ingest", Dir.c_str()};
+      for (int K = 0; K != NumManifests; ++K)
+        Argv.push_back(Paths[(K + P * NumManifests / NumProcs) %
+                             NumManifests]
+                           .c_str());
+      Argv.push_back(nullptr);
+      // The sample's artifacts do not exist next to it; ingest warns
+      // about that on stderr and keeps the manifest.
+      posix_spawn_file_actions_t Io;
+      posix_spawn_file_actions_init(&Io);
+      posix_spawn_file_actions_addopen(&Io, 1, "/dev/null", O_WRONLY, 0);
+      posix_spawn_file_actions_addopen(&Io, 2, "/dev/null", O_WRONLY, 0);
+      pid_t Pid = 0;
+      int Rc = posix_spawn(&Pid, IPAS_DB_PATH, &Io, nullptr,
+                           const_cast<char **>(Argv.data()), environ);
+      posix_spawn_file_actions_destroy(&Io);
+      ASSERT_EQ(Rc, 0) << "cannot start " << IPAS_DB_PATH;
+      Pids.push_back(Pid);
+    }
+    for (pid_t Pid : Pids) {
+      int Status = 0;
+      ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+      EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+          << "round " << Round;
+    }
+
+    std::ifstream Idx(Dir + "/ledger.idx");
+    std::set<std::string> Ids;
+    size_t Lines = 0;
+    for (std::string Line; std::getline(Idx, Line); ++Lines)
+      Ids.insert(Line.substr(0, Line.find(' ')));
+    EXPECT_EQ(Lines, size_t(NumManifests)) << "round " << Round;
+    EXPECT_EQ(Ids.size(), size_t(NumManifests)) << "round " << Round;
+  }
+}

@@ -25,8 +25,10 @@
 #include "fault/Campaign.h"
 #include "fault/FunctionHarness.h"
 #include "interp/CostProfiler.h"
+#include "obs/Metrics.h"
 #include "transform/Duplication.h"
 #include "vm/VM.h"
+#include "workloads/WorkloadHarness.h"
 
 #include <cstring>
 #include <fstream>
@@ -373,7 +375,7 @@ TEST(VmBytecode, SelftestBugChangesSemantics) {
 
 /// One counting-mode profiled clean run (optionally repeated to check
 /// cross-run accumulation) on the chosen backend, via the same
-/// FunctionHarness::executeProfiled path the drivers use.
+/// profiled-run request the drivers use.
 struct ProfiledRun {
   std::vector<uint64_t> Counts;
   uint64_t Steps = 0;
@@ -387,11 +389,11 @@ ProfiledRun profileOn(const Module &M, const char *Fn,
                       unsigned Repeats = 1) {
   ModuleLayout Layout(M);
   FunctionHarness Harness(Fn, Args);
-  Harness.setPreferredBackend(Backend);
   CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
   Prof.enableFunctionHashes();
   for (unsigned R = 0; R != Repeats; ++R) {
-    ExecutionRecord Rec = Harness.executeProfiled(Layout, Prof);
+    ExecutionRecord Rec = Harness.execute(
+        Layout, RunRequest{.Backend = Backend, .Profiler = &Prof});
     EXPECT_EQ(Rec.Status, RunStatus::Finished);
     if (R + 1 == Repeats) {
       ProfiledRun Out;
@@ -479,55 +481,36 @@ TEST(VmCountingProfiler, AccumulatesAcrossRunsLikeAttach) {
   expectProfileParity(*M, "f", {RtValue::fromI64(9)}, 3);
 }
 
-/// One low-level profiled run with an explicit budget and optional
-/// fault plan — the abnormal-exit paths FunctionHarness::executeProfiled
-/// never takes. The VM reconstructs counts from control-transfer tallies
-/// after the run, so the interesting cases are exactly the ones where a
-/// run stops mid-flight and the final arrival must be corrected for.
+/// One profiled run with an explicit budget and optional fault plan —
+/// the abnormal-exit paths the drivers' profiled clean runs never take.
+/// The VM reconstructs counts from control-transfer tallies after the
+/// run, so the interesting cases are exactly the ones where a run stops
+/// mid-flight and the final arrival must be corrected for.
 struct AbnormalProfile {
   RunStatus Status = RunStatus::Finished;
   TrapKind Trap = TrapKind::None;
   uint64_t Steps = 0;
+  uint64_t ValueSteps = 0;
   std::vector<uint64_t> Counts;
   uint64_t CountedSteps = 0;
 };
 
-AbnormalProfile profiledInterpRun(const ModuleLayout &Layout, const char *Fn,
-                                  const std::vector<RtValue> &Args,
-                                  uint64_t Budget, const FaultPlan *Plan) {
+AbnormalProfile profiledRun(const ModuleLayout &Layout, const char *Fn,
+                            const std::vector<RtValue> &Args, uint64_t Budget,
+                            const FaultPlan *Plan,
+                            ExecBackend Backend = ExecBackend::Interp) {
   CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
-  ExecutionContext Ctx(Layout);
-  if (Plan)
-    Ctx.setFaultPlan(*Plan);
-  const Function *F = Layout.module().getFunction(Fn);
-  Prof.attach(Ctx, F);
-  Ctx.start(F, Args);
+  FunctionHarness H(Fn, Args);
+  ExecutionRecord R = H.execute(Layout, RunRequest{.Plan = Plan,
+                                                   .StepBudget = Budget,
+                                                   .Backend = Backend,
+                                                   .Profiler = &Prof});
+  EXPECT_EQ(R.BackendUsed, Backend);
   AbnormalProfile Out;
-  Out.Status = Ctx.run(Budget);
-  Out.Trap = Ctx.trap();
-  Out.Steps = Ctx.steps();
-  Out.Counts = Prof.flatCounts();
-  Out.CountedSteps = Prof.totalSteps();
-  return Out;
-}
-
-AbnormalProfile profiledVmRun(const ModuleLayout &Layout, const char *Fn,
-                              const std::vector<RtValue> &Args,
-                              uint64_t Budget, const FaultPlan *Plan) {
-  std::string Err;
-  std::unique_ptr<vm::VmProgram> Prog = vm::compile(Layout, &Err);
-  EXPECT_NE(Prog, nullptr) << Err;
-  AbnormalProfile Out;
-  if (!Prog)
-    return Out;
-  CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
-  ProfileHook Hook = Prof.countingHook(Layout.module().getFunction(Fn));
-  vm::VmContext Ctx(*Prog);
-  vm::VmContext::Result R =
-      Ctx.run(Prog->indexOf(Fn), Args, Plan, Budget, &Hook);
   Out.Status = R.Status;
   Out.Trap = R.Trap;
   Out.Steps = R.Steps;
+  Out.ValueSteps = R.ValueSteps;
   Out.Counts = Prof.flatCounts();
   Out.CountedSteps = Prof.totalSteps();
   return Out;
@@ -539,8 +522,9 @@ AbnormalProfile profiledVmRun(const ModuleLayout &Layout, const char *Fn,
 void expectAbnormalParity(const ModuleLayout &Layout, const char *Fn,
                           const std::vector<RtValue> &Args, uint64_t Budget,
                           const FaultPlan *Plan = nullptr) {
-  AbnormalProfile I = profiledInterpRun(Layout, Fn, Args, Budget, Plan);
-  AbnormalProfile V = profiledVmRun(Layout, Fn, Args, Budget, Plan);
+  AbnormalProfile I = profiledRun(Layout, Fn, Args, Budget, Plan);
+  AbnormalProfile V =
+      profiledRun(Layout, Fn, Args, Budget, Plan, ExecBackend::Vm);
   EXPECT_EQ(I.Status, V.Status);
   EXPECT_EQ(I.Trap, V.Trap);
   EXPECT_EQ(I.Steps, V.Steps);
@@ -557,8 +541,7 @@ TEST(VmCountingProfiler, BudgetSweepParity) {
   ASSERT_NE(M, nullptr);
   ModuleLayout Layout(*M);
   std::vector<RtValue> Args{RtValue::fromI64(5)};
-  AbnormalProfile Full =
-      profiledInterpRun(Layout, "f", Args, UINT64_MAX, nullptr);
+  AbnormalProfile Full = profiledRun(Layout, "f", Args, UINT64_MAX, nullptr);
   ASSERT_EQ(Full.Status, RunStatus::Finished);
   ASSERT_GT(Full.Steps, 20u);
   for (uint64_t B = 0; B <= Full.Steps; ++B) {
@@ -576,8 +559,7 @@ TEST(VmCountingProfiler, ProtectedBudgetSweepParity) {
   M->renumber();
   ModuleLayout Layout(*M);
   std::vector<RtValue> Args{RtValue::fromI64(6)};
-  AbnormalProfile Full =
-      profiledInterpRun(Layout, "f", Args, UINT64_MAX, nullptr);
+  AbnormalProfile Full = profiledRun(Layout, "f", Args, UINT64_MAX, nullptr);
   ASSERT_EQ(Full.Status, RunStatus::Finished);
   for (uint64_t B = 0; B <= Full.Steps; B += 3)
     expectAbnormalParity(Layout, "f", Args, B);
@@ -593,7 +575,7 @@ TEST(VmCountingProfiler, TrapParity) {
   ASSERT_NE(M, nullptr);
   ModuleLayout Layout(*M);
   std::vector<RtValue> Args{RtValue::fromI64(10)};
-  AbnormalProfile I = profiledInterpRun(Layout, "f", Args, UINT64_MAX, nullptr);
+  AbnormalProfile I = profiledRun(Layout, "f", Args, UINT64_MAX, nullptr);
   ASSERT_EQ(I.Status, RunStatus::Trapped);
   EXPECT_EQ(I.Trap, TrapKind::DivByZero);
   expectAbnormalParity(Layout, "f", Args, UINT64_MAX);
@@ -608,7 +590,7 @@ TEST(VmCountingProfiler, CallDepthTrapParity) {
   ASSERT_NE(M, nullptr);
   ModuleLayout Layout(*M);
   std::vector<RtValue> Args{RtValue::fromI64(0)};
-  AbnormalProfile I = profiledInterpRun(Layout, "f", Args, UINT64_MAX, nullptr);
+  AbnormalProfile I = profiledRun(Layout, "f", Args, UINT64_MAX, nullptr);
   ASSERT_EQ(I.Status, RunStatus::Trapped);
   EXPECT_EQ(I.Trap, TrapKind::CallDepthExceeded);
   expectAbnormalParity(Layout, "f", Args, UINT64_MAX);
@@ -624,21 +606,12 @@ TEST(VmCountingProfiler, FaultedRunParity) {
   M->renumber();
   ModuleLayout Layout(*M);
   std::vector<RtValue> Args{RtValue::fromI64(8)};
-  AbnormalProfile Clean =
-      profiledInterpRun(Layout, "f", Args, UINT64_MAX, nullptr);
+  AbnormalProfile Clean = profiledRun(Layout, "f", Args, UINT64_MAX, nullptr);
   ASSERT_EQ(Clean.Status, RunStatus::Finished);
   const uint64_t Budget = 100000;
-  uint64_t ValueSteps = 0;
-  {
-    // Value steps bound the fault-site space; recover it from a clean
-    // low-level run.
-    ExecutionContext Ctx(Layout);
-    Ctx.start(Layout.module().getFunction("f"), Args);
-    ASSERT_EQ(Ctx.run(UINT64_MAX), RunStatus::Finished);
-    ValueSteps = Ctx.valueSteps();
-  }
-  ASSERT_GT(ValueSteps, 8u);
-  for (uint64_t Step = 0; Step < ValueSteps; Step += 5) {
+  // Value steps bound the fault-site space.
+  ASSERT_GT(Clean.ValueSteps, 8u);
+  for (uint64_t Step = 0; Step < Clean.ValueSteps; Step += 5) {
     for (uint64_t Bit : {0ull, 63ull}) {
       SCOPED_TRACE(::testing::Message() << "step=" << Step << " bit=" << Bit);
       FaultPlan Plan;
@@ -711,10 +684,10 @@ void sweepRecordInvariance(const char *File, const char *Fn,
           // record stream, and its counts/hashes must themselves be
           // invariant across backends and thread counts.
           if (Profile) {
-            Harness.setPreferredBackend(Backend);
             CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
             Prof.enableFunctionHashes();
-            ExecutionRecord PR = Harness.executeProfiled(Layout, Prof);
+            ExecutionRecord PR = Harness.execute(
+                Layout, RunRequest{.Backend = Backend, .Profiler = &Prof});
             ASSERT_EQ(PR.Status, RunStatus::Finished);
             EXPECT_EQ(PR.BackendUsed, Backend);
             if (GoldenProfCounts.empty()) {
@@ -793,6 +766,53 @@ TEST(VmCountingProfiler, GenfuzzParity) {
   M->renumber();
   expectProfileParity(*M, "run",
                       {RtValue::fromI64(3), RtValue::fromI64(5)});
+}
+
+// The engine serves a VM request on the interpreter only where the run
+// needs it, tags the record and bumps exactly that reason's counter;
+// multi-rank workloads (once silently interpreted) report `other`.
+TEST(VmFallback, EngineRoutesAndCountsEachReason) {
+  std::unique_ptr<Module> M = compile(readTestdata("residual.mc"));
+  ASSERT_NE(M, nullptr);
+  ModuleLayout Layout(*M);
+  FunctionHarness H("f", {RtValue::fromI64(32)});
+  ExecObserver Obs;
+  std::vector<unsigned> Trace;
+  CostProfiler Counting(Layout, CostProfiler::Mode::Counting);
+  CostProfiler Context(Layout, CostProfiler::Mode::Context);
+
+  std::unique_ptr<Workload> W = makeWorkload("IS");
+  std::unique_ptr<Module> WM = compileWorkload(*W);
+  ModuleLayout WLayout(*WM);
+  WorkloadHarness Ranks(*W, 1, 2);
+
+  auto &Reg = obs::MetricsRegistry::global();
+  auto Check = [&](ProgramHarness &Harness, const ModuleLayout &L,
+                   RunRequest Req, const char *Reason) {
+    std::vector<uint64_t> Before;
+    for (const char *Name : VmFallbackCounters)
+      Before.push_back(Reg.counter(Name).value());
+    Req.Backend = ExecBackend::Vm;
+    ExecutionRecord R = Harness.execute(L, Req);
+    EXPECT_EQ(R.Status, RunStatus::Finished) << Reason;
+    EXPECT_TRUE(R.OutputValid) << Reason;
+    EXPECT_EQ(R.BackendUsed, *Reason ? ExecBackend::Interp : ExecBackend::Vm)
+        << Reason;
+    EXPECT_STREQ(R.FallbackReason ? R.FallbackReason : "", Reason);
+    for (size_t K = 0; K != NumVmFallbackReasons; ++K)
+      EXPECT_EQ(Reg.counter(VmFallbackCounters[K]).value() - Before[K],
+                VmFallbackCounters[K] == "vm.fallback." + std::string(Reason)
+                    ? 1u
+                    : 0u)
+          << VmFallbackCounters[K] << " after '" << Reason << "'";
+  };
+  Check(H, Layout, RunRequest{}, "");
+  Check(H, Layout, RunRequest{.Profiler = &Counting}, "");
+  Check(H, Layout, RunRequest{.Observer = &Obs}, "observer");
+  Check(H, Layout, RunRequest{.Profiler = &Context}, "profile_context");
+  Check(H, Layout, RunRequest{.Trace = &Trace}, "trace");
+  EXPECT_FALSE(Trace.empty());
+  Check(Ranks, WLayout, RunRequest{}, "other");
 }
 
 } // namespace

@@ -41,7 +41,6 @@
 #include "transform/Duplication.h"
 #include "transform/Mem2Reg.h"
 #include "transform/SimplifyCFG.h"
-#include "vm/VM.h"
 
 #include <cstdio>
 #include <fstream>
@@ -361,10 +360,6 @@ int main(int Argc, char **Argv) {
             .add("mode", ProfileContext ? "context" : "counting")
             .add("backend", BackendName));
     FunctionHarness ProfHarness(RunFn, Args);
-    // Counting-mode profiling runs natively on the VM when requested —
-    // same counts, same hashes, VM speed (context mode falls back and
-    // says so via vm.fallback.profile_context).
-    ProfHarness.setPreferredBackend(Backend);
     CostProfiler Prof(Layout, ProfileContext
                                   ? CostProfiler::Mode::Context
                                   : CostProfiler::Mode::Counting);
@@ -373,6 +368,10 @@ int main(int Argc, char **Argv) {
     PIn.EntryFunction = RunFn;
     PIn.Label = "cc.profile";
     PIn.SourceText = SS.str();
+    // Counting-mode profiling runs natively on the VM when requested —
+    // same counts, same hashes, VM speed (context mode falls back and
+    // says so via vm.fallback.profile_context).
+    PIn.Backend = Backend;
     std::string Err;
     if (!buildProfileStore(ProfHarness, Layout, Prof, PIn, PS, &Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
@@ -386,14 +385,8 @@ int main(int Argc, char **Argv) {
     if (Backend == ExecBackend::Vm) {
       // Profile-only campaigns on the VM must not silently degrade:
       // report (and let tests assert) the interpreter-fallback total.
-      auto &Reg = obs::MetricsRegistry::global();
-      uint64_t Fallbacks = Reg.counter("vm.fallback.compile").value() +
-                           Reg.counter("vm.fallback.observer").value() +
-                           Reg.counter("vm.fallback.profile_context").value() +
-                           Reg.counter("vm.fallback.trace").value() +
-                           Reg.counter("vm.fallback.other").value();
       std::printf("profile backend: vm (%llu interpreter fallbacks)\n",
-                  static_cast<unsigned long long>(Fallbacks));
+                  static_cast<unsigned long long>(vmFallbackTotal()));
     }
 
     if (Protect) {
@@ -417,10 +410,10 @@ int main(int Argc, char **Argv) {
       BaseM->renumber();
       ModuleLayout BaseLayout(*BaseM);
       FunctionHarness BaseHarness(RunFn, Args);
-      BaseHarness.setPreferredBackend(Backend);
       CostProfiler BaseProf(BaseLayout, CostProfiler::Mode::Counting,
                             Prof.model());
-      ExecutionRecord BR = BaseHarness.executeProfiled(BaseLayout, BaseProf);
+      ExecutionRecord BR = BaseHarness.execute(
+          BaseLayout, RunRequest{.Backend = Backend, .Profiler = &BaseProf});
       if (BR.Status == RunStatus::Finished && BR.OutputValid) {
         if (!attributeOverhead(*BaseM, BaseProf.flatCounts(), *M,
                                Prof.flatCounts(), Prof.model(), PS, &Err)) {
@@ -550,7 +543,8 @@ int main(int Argc, char **Argv) {
                   PropStore.Records.size());
     }
     if (!RecordOut.empty()) {
-      std::vector<unsigned> StepTrace = Harness.traceValueSteps(Layout);
+      std::vector<unsigned> StepTrace =
+          Harness.traceValueSteps(Layout, Backend);
       FeatureExtractor Extractor;
       std::vector<std::vector<double>> Rows = Extractor.extractModuleRows(*M);
       std::vector<double> Flat;
@@ -622,77 +616,49 @@ int main(int Argc, char **Argv) {
   }
 
   FaultPlan Plan;
-  bool HavePlan = false;
+  RunRequest Req{.StepBudget = MaxSteps > 0 ? static_cast<uint64_t>(MaxSteps)
+                                            : UINT64_MAX,
+                 .Backend = Backend};
   if (FaultStep >= 0) {
     Plan.TargetValueStep = static_cast<uint64_t>(FaultStep);
     Plan.BitDraw = static_cast<uint64_t>(FaultBit);
-    HavePlan = true;
+    Req.Plan = &Plan;
   }
-  const uint64_t Budget =
-      MaxSteps > 0 ? static_cast<uint64_t>(MaxSteps) : UINT64_MAX;
 
-  RunStatus S;
-  TrapKind Trap = TrapKind::None;
-  uint64_t Steps = 0;
-  bool FaultInjected = false;
-  RtValue Ret;
+  // The harness's golden output is the first finished run's return value.
+  FunctionHarness Harness(RunFn, Args);
+  ExecutionRecord R;
   {
     obs::PhaseSpan Span("cc.run", obs::AttrSet()
                                       .add("function", RunFn)
                                       .add("backend", BackendName));
-    std::unique_ptr<vm::VmProgram> Prog;
-    if (Backend == ExecBackend::Vm) {
-      std::string Err;
-      Prog = vm::compile(Layout, &Err);
-      if (!Prog)
-        std::fprintf(stderr,
-                     "warning: vm compile failed (%s); falling back to "
-                     "the interpreter\n",
-                     Err.empty() ? "unsupported construct" : Err.c_str());
-    }
-    if (Prog) {
-      vm::VmContext VCtx(*Prog);
-      vm::VmContext::Result V = VCtx.run(
-          Prog->indexOf(RunFn), Args, HavePlan ? &Plan : nullptr, Budget);
-      S = V.Status;
-      Trap = V.Trap;
-      Steps = V.Steps;
-      FaultInjected = V.FaultInjected;
-      Ret = V.ReturnValue;
-    } else {
-      ExecutionContext Ctx(Layout);
-      if (HavePlan)
-        Ctx.setFaultPlan(Plan);
-      Ctx.start(F, Args);
-      S = Ctx.run(Budget);
-      Trap = Ctx.trap();
-      Steps = Ctx.steps();
-      FaultInjected = Ctx.faultWasInjected();
-      if (S == RunStatus::Finished)
-        Ret = Ctx.returnValue();
-    }
+    R = Harness.execute(Layout, Req);
     Span.addAttr(obs::AttrSet()
-                     .add("status", runStatusName(S))
-                     .add("steps", Steps));
+                     .add("status", runStatusName(R.Status))
+                     .add("steps", R.Steps));
   }
+  if (R.FallbackReason)
+    std::fprintf(stderr, "warning: vm fallback (%s); ran on the interpreter\n",
+                 R.FallbackReason);
 
-  switch (S) {
+  switch (R.Status) {
   case RunStatus::Finished: {
+    RtValue Ret = Harness.golden()[0];
     if (F->returnType().isF64())
       std::printf("result: %.17g\n", Ret.asF64());
     else if (!F->returnType().isVoid())
       std::printf("result: %lld\n", static_cast<long long>(Ret.asI64()));
     std::printf("executed %llu instructions%s\n",
-                static_cast<unsigned long long>(Steps),
-                FaultInjected ? " (fault injected)" : "");
+                static_cast<unsigned long long>(R.Steps),
+                R.FaultInjected ? " (fault injected)" : "");
     return 0;
   }
   case RunStatus::Detected:
     std::printf("fault detected by a soc.check after %llu instructions\n",
-                static_cast<unsigned long long>(Steps));
+                static_cast<unsigned long long>(R.Steps));
     return 3;
   case RunStatus::Trapped:
-    std::printf("trap: %s\n", trapKindName(Trap));
+    std::printf("trap: %s\n", trapKindName(R.Trap));
     return 4;
   case RunStatus::OutOfSteps:
     std::printf("step budget exceeded (possible hang)\n");

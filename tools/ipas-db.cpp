@@ -45,8 +45,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
+#include <memory>
 #include <string>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 using namespace ipas;
@@ -89,6 +93,21 @@ struct LedgerEntry {
 
 std::string indexPath(const std::string &Hist) {
   return Hist + "/ledger.idx";
+}
+
+/// Opens ledger.idx for appending (creating it) under an exclusive
+/// flock, or returns null. Ingest holds it across the whole
+/// read-dedupe-append, so concurrent ingests into one history serialize:
+/// each manifest lands exactly once. Closing the stream releases it.
+FILE *lockIndex(const std::string &Hist) {
+  int Fd = ::open(indexPath(Hist).c_str(),
+                  O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0666);
+  if (Fd < 0 || ::flock(Fd, LOCK_EX) != 0) {
+    if (Fd >= 0)
+      ::close(Fd);
+    return nullptr;
+  }
+  return ::fdopen(Fd, "a");
 }
 
 bool loadIndex(const std::string &Hist, std::vector<LedgerEntry> &Entries,
@@ -204,6 +223,12 @@ int cmdIngest(const std::string &Hist,
                  Hist.c_str(), std::strerror(errno));
     return 1;
   }
+  std::unique_ptr<FILE, int (*)(FILE *)> Idx(lockIndex(Hist), &std::fclose);
+  if (!Idx) {
+    std::fprintf(stderr, "error: cannot lock %s: %s\n",
+                 indexPath(Hist).c_str(), std::strerror(errno));
+    return 1;
+  }
   std::vector<LedgerEntry> Entries;
   std::string Err;
   if (!loadIndex(Hist, Entries, &Err)) {
@@ -301,16 +326,12 @@ int cmdIngest(const std::string &Hist,
     for (const std::string &B : E.BenchFiles)
       Line += " " + B;
     Line += "\n";
-    FILE *Idx = std::fopen(indexPath(Hist).c_str(), "ab");
-    if (!Idx || std::fwrite(Line.data(), 1, Line.size(), Idx) !=
-                    Line.size()) {
-      if (Idx)
-        std::fclose(Idx);
+    if (std::fwrite(Line.data(), 1, Line.size(), Idx.get()) != Line.size() ||
+        std::fflush(Idx.get()) != 0) {
       std::fprintf(stderr, "error: cannot append to %s\n",
                    indexPath(Hist).c_str());
       return 1;
     }
-    std::fclose(Idx);
     Entries.push_back(E);
 
     std::printf("ingest: %.8s %s label=%s runs=%llu soc=%llu "

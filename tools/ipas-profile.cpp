@@ -40,6 +40,7 @@
 #include "obs/ProfileStore.h"
 #include "obs/RecordStore.h"
 #include "support/ArgParser.h"
+#include "support/Compiler.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -94,11 +95,13 @@ struct ProfIndex {
   /// "@fn:line:col", or "@fn:?" for instructions with no location.
   std::string location(uint32_t FunctionIndex, uint32_t Line,
                        uint32_t Col) const {
+    IPAS_GCC_RESTRICT_FALSE_POSITIVE_BEGIN
     std::string Out = "@" + functionName(FunctionIndex);
     if (Line)
       Out += ":" + std::to_string(Line) + ":" + std::to_string(Col);
     else
       Out += ":?";
+    IPAS_GCC_RESTRICT_FALSE_POSITIVE_END
     return Out;
   }
 
