@@ -61,7 +61,8 @@ void writeVariantRecord(const Workload &W, const PipelineConfig &Cfg,
   }
 
   WorkloadHarness Harness(W, Cfg.InputLevel);
-  std::vector<unsigned> StepTrace = Harness.traceValueSteps(*PM.Layout);
+  std::vector<unsigned> StepTrace =
+      Harness.traceValueSteps(*PM.Layout, Cfg.Backend);
 
   FeatureExtractor Extractor;
   std::vector<std::vector<double>> Rows = Extractor.extractModuleRows(*PM.M);
@@ -164,6 +165,7 @@ void writeVariantSession(const Workload &W, const PipelineConfig &Cfg,
   In.Label = V.Label;
   In.Seed = Seed;
   In.Backend = Cfg.Backend;
+  In.Threads = Cfg.NumThreads;
   In.Pruning = Cfg.InterproceduralAnalysis;
   In.PropSampleEvery = Cfg.PropSampleEvery;
   obs::ProfileStore Prof;
@@ -303,6 +305,7 @@ CampaignResult IpasPipeline::evaluate(const ProtectedModule &PM,
   CC.Seed = Seed;
   CC.Label = Label;
   CC.Backend = Cfg.Backend;
+  CC.NumThreads = Cfg.NumThreads;
   CC.PropSampleEvery = Cfg.PropSampleEvery;
   if (!Cfg.InterproceduralAnalysis)
     return runCampaign(Harness, *PM.Layout, CC);
@@ -332,6 +335,7 @@ TrainingArtifacts IpasPipeline::collectAndTrain(bool RunGridSearch) {
     CC.Seed = Cfg.Seed ^ 0x7121117;
     CC.Label = "training";
     CC.Backend = Cfg.Backend;
+    CC.NumThreads = Cfg.NumThreads;
     A.Campaign = runCampaign(Harness, *Unprot.Layout, CC);
   }
 

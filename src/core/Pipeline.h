@@ -22,6 +22,7 @@
 #include "analysis/Features.h"
 #include "fault/Campaign.h"
 #include "ml/ModelSelection.h"
+#include "support/Parallel.h"
 #include "transform/Duplication.h"
 #include "workloads/WorkloadHarness.h"
 
@@ -70,9 +71,16 @@ struct PipelineConfig {
   /// already exist. See docs/OBSERVABILITY.md.
   std::string SessionDir;
   /// Execution engine for the training and evaluation campaigns
-  /// (CampaignConfig::Backend). The VM is observably equivalent and
-  /// 10-100x faster; the default stays on the reference interpreter.
-  ExecBackend Backend = ExecBackend::Interp;
+  /// (CampaignConfig::Backend). The VM is observably equivalent to the
+  /// reference interpreter — every record stream, ranking and table is
+  /// bit-identical — and several times faster, so it is the default;
+  /// Interp is the reference leg of the differential tests.
+  ExecBackend Backend = ExecBackend::Vm;
+  /// Threads for the training campaign and every evaluation campaign
+  /// (CampaignConfig::NumThreads; the grid searches always use every
+  /// core). Results do not depend on it, so the default uses every core;
+  /// the results cache key leaves it out, like Backend.
+  unsigned NumThreads = hardwareThreads();
   /// When nonzero, every evaluation campaign also traces fault
   /// propagation for 1-in-N injections (CampaignConfig::PropSampleEvery).
   /// Sampling never perturbs the deterministic record stream; it only

@@ -9,6 +9,7 @@
 #include "fault/Propagation.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Parallel.h"
 
 #include <atomic>
 #include <chrono>
@@ -314,21 +315,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     });
   }
 
-  unsigned Threads = Cfg.NumThreads;
-  if (Threads <= 1 || Cfg.NumRuns < 2 * Threads) {
-    for (size_t Run = 0; Run != Cfg.NumRuns; ++Run)
-      RunOne(Run);
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned T = 0; T != Threads; ++T)
-      Pool.emplace_back([&, T] {
-        for (size_t Run = T; Run < Cfg.NumRuns; Run += Threads)
-          RunOne(Run);
-      });
-    for (std::thread &Th : Pool)
-      Th.join();
-  }
+  parallelFor(Cfg.NumRuns, Cfg.NumThreads, RunOne);
 
   if (Monitor.joinable()) {
     {

@@ -33,10 +33,15 @@ struct CampaignConfig {
   double HangFactor = 10.0;
   uint64_t Seed = 0xf417;
   /// Injection runs are independent, so campaigns parallelize trivially —
-  /// the paper (§7) suggests exactly this for large codes. Plans are
-  /// drawn up front, so results are deterministic regardless of the
-  /// thread count. The harness engine is thread-safe once the serial
-  /// clean run has captured the golden output.
+  /// the paper (§7) suggests exactly this for large codes. Runs go
+  /// through parallelFor (support/Parallel.h), which hands out run
+  /// indices one at a time. Plans are drawn up front and every
+  /// run writes only its own record, so results are deterministic
+  /// regardless of the thread count. The harness engine is thread-safe
+  /// once the serial clean run has captured the golden output. The
+  /// default stays 1 for direct callers (ipas-cc's ~6 us runs gain
+  /// little); IpasPipeline passes PipelineConfig::NumThreads, which
+  /// defaults to every core.
   unsigned NumThreads = 1;
   /// Per-instruction-id flags from analysis/SocPropagation: a true entry
   /// means a corruption of that instruction's result provably reaches no

@@ -13,10 +13,10 @@
 #include "obs/BinCodec.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 using namespace ipas;
 
@@ -383,6 +383,8 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
   if (Every == 0)
     Every = 1;
   std::atomic<size_t> Done{0};
+  // Executed rows split by the engine that ran them, as in runCampaign.
+  std::atomic<size_t> VmRuns{0}, InterpRuns{0};
   const uint64_t LoopStartUs = obs::monotonicMicros();
 
   auto RunOne = [&](size_t RowIdx) {
@@ -403,6 +405,8 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
     Rec.InstructionId = R.FaultedInstructionId;
     Rec.Result = classifyOutcome(R);
     Rec.LatencyUs = Us > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(Us);
+    (R.BackendUsed == ExecBackend::Vm ? VmRuns : InterpRuns)
+        .fetch_add(1, std::memory_order_relaxed);
     if (Stats && TraceRuns)
       obs::TraceSink::event("campaign.run",
                             obs::AttrSet()
@@ -435,24 +439,13 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
     }
   };
 
-  unsigned Threads = Base.NumThreads;
-  if (Threads <= 1 || ToExecute.size() < 2 * Threads) {
-    for (size_t RowIdx : ToExecute)
-      RunOne(RowIdx);
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned T = 0; T != Threads; ++T)
-      Pool.emplace_back([&, T] {
-        for (size_t K = T; K < ToExecute.size(); K += Threads)
-          RunOne(ToExecute[K]);
-      });
-    for (std::thread &Th : Pool)
-      Th.join();
-  }
+  parallelFor(ToExecute.size(), Base.NumThreads,
+              [&](size_t K) { RunOne(ToExecute[K]); });
 
   for (const InjectionRecord &Rec : Result.Campaign.Records)
     ++Result.Campaign.Counts[static_cast<size_t>(Rec.Result)];
+  Result.Campaign.VmRuns = VmRuns.load(std::memory_order_relaxed);
+  Result.Campaign.InterpRuns = InterpRuns.load(std::memory_order_relaxed);
   Result.Campaign.WallSeconds = Span.seconds();
   // Loop throughput over the runs that actually executed (reused and
   // pruned rows cost nothing), mirroring runCampaign — the session

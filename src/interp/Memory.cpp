@@ -10,9 +10,9 @@ using namespace ipas;
 
 Memory::Memory() : Memory(Config()) {}
 
-Memory::Memory(const Config &Cfg) {
-  uint64_t Total = GuardBytes + Cfg.StackBytes + Cfg.HeapBytes;
-  Data.assign(Total, 0);
+Memory::Memory(const Config &Cfg)
+    : Pages(GuardBytes + Cfg.StackBytes + Cfg.HeapBytes) {
+  uint64_t Total = Pages.size();
   FirstValid = GuardBytes;
   Limit = Total;
   StackBase = GuardBytes;

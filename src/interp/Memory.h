@@ -16,9 +16,10 @@
 #ifndef IPAS_INTERP_MEMORY_H
 #define IPAS_INTERP_MEMORY_H
 
+#include "support/ZeroPages.h"
+
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 namespace ipas {
 
@@ -30,8 +31,9 @@ public:
   static constexpr uint64_t GuardBytes = 4096;
 
   struct Config {
-    // Zero-filling this memory is a per-execution cost, so the defaults
-    // are modest; workloads size their own regions via memoryConfig().
+    // The region is mapped lazily zeroed (support/ZeroPages.h): a run
+    // pays for the pages it touches, not for these sizes. Workloads size
+    // their own regions via memoryConfig().
     uint64_t StackBytes = 1ull << 20; ///< 1 MiB stack region.
     uint64_t HeapBytes = 8ull << 20;  ///< 8 MiB heap region.
   };
@@ -60,26 +62,26 @@ public:
   // Unchecked accessors; callers must validate the range first.
   uint64_t read64(uint64_t Addr) const {
     uint64_t V;
-    std::memcpy(&V, &Data[Addr], sizeof(V));
+    std::memcpy(&V, Pages.data() + Addr, sizeof(V));
     return V;
   }
   void write64(uint64_t Addr, uint64_t V) {
-    std::memcpy(&Data[Addr], &V, sizeof(V));
+    std::memcpy(Pages.data() + Addr, &V, sizeof(V));
   }
   double readF64(uint64_t Addr) const {
     double V;
-    std::memcpy(&V, &Data[Addr], sizeof(V));
+    std::memcpy(&V, Pages.data() + Addr, sizeof(V));
     return V;
   }
   void writeF64(uint64_t Addr, double V) {
-    std::memcpy(&Data[Addr], &V, sizeof(V));
+    std::memcpy(Pages.data() + Addr, &V, sizeof(V));
   }
 
   uint64_t heapBytesUsed() const { return HeapPtr - HeapBase; }
   uint64_t stackBytesUsed() const { return StackPtr - StackBase; }
 
 private:
-  std::vector<uint8_t> Data;
+  ZeroPages Pages;
   uint64_t FirstValid; ///< Address 0..FirstValid-1 is the unmapped page.
   uint64_t Limit;      ///< One past the last valid byte.
   uint64_t StackBase, StackLimit, StackPtr;

@@ -8,6 +8,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <cmath>
@@ -140,24 +141,21 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
       .counter("ml.grid.configs")
       .inc(Cs.size() * Gammas.size());
 
-  std::vector<RankedConfig> Results;
-  Results.reserve(Cs.size() * Gammas.size());
-  Rng R(Cfg.Seed);
-  // Use the same fold split for every configuration so scores are
-  // comparable (the Rng is re-seeded per configuration).
-  for (double Gamma : Gammas)
-    for (double C : Cs) {
-      SvmParams P;
-      P.C = C;
-      P.Gamma = Gamma;
-      P.MaxIterations = Cfg.MaxIterations;
-      Rng FoldRng(Cfg.Seed ^ 0x9e37);
-      RankedConfig RC;
-      RC.Params = P;
-      RC.Accuracies = crossValidate(D, P, Cfg.Folds, FoldRng);
-      RC.FScore = fScore(RC.Accuracies);
-      Results.push_back(RC);
-    }
+  // The configurations are cross-validated concurrently on every core
+  // (support/Parallel.h), each into its own slot (gamma-major, the serial
+  // order), with the same fold split for every configuration so scores
+  // are comparable; the stable sort then ranks them exactly as a serial
+  // loop would, so the ranking does not depend on the thread count.
+  std::vector<RankedConfig> Results(Cs.size() * Gammas.size());
+  parallelFor(Results.size(), hardwareThreads(), [&](size_t K) {
+    RankedConfig &RC = Results[K];
+    RC.Params.C = Cs[K % Cs.size()];
+    RC.Params.Gamma = Gammas[K / Cs.size()];
+    RC.Params.MaxIterations = Cfg.MaxIterations;
+    Rng FoldRng(Cfg.Seed ^ 0x9e37);
+    RC.Accuracies = crossValidate(D, RC.Params, Cfg.Folds, FoldRng);
+    RC.FScore = fScore(RC.Accuracies);
+  });
   std::stable_sort(Results.begin(), Results.end(),
                    [](const RankedConfig &A, const RankedConfig &B) {
                      return A.FScore > B.FScore;

@@ -21,9 +21,8 @@
 ///  - threaded dispatch over flat pre-decoded instructions with all
 ///    operands as register indices (no tree walk, no operand switch);
 ///  - a pooled arena (VmArena) with the interpreter Memory's exact
-///    address layout but O(dirty bytes) reset instead of a fresh ~9 MB
-///    zero-fill per run — the dominant per-run cost of the interpreter
-///    on campaign workloads.
+///    address layout, reset by re-zeroing only the pages the last run
+///    wrote instead of mapping a fresh address space per run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +31,11 @@
 
 #include "interp/Interpreter.h"
 #include "interp/ProfileHook.h"
+#include "support/ZeroPages.h"
 #include "vm/Bytecode.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 namespace ipas {
@@ -43,31 +44,36 @@ namespace vm {
 /// Flat address space with the same layout, bounds rules and bump
 /// allocators as interp/Memory.h (addresses are observable values: a
 /// flipped pointer bit must produce the same in/out-of-bounds verdict on
-/// either backend). Reset cost is proportional to the bytes actually
-/// written, not the arena size, so a pooled context makes back-to-back
-/// campaign runs cheap.
+/// either backend). The region is lazily zeroed (support/ZeroPages.h),
+/// and every store marks its page dirty, so reset re-zeroes exactly the
+/// pages written since the last reset: a pooled context makes
+/// back-to-back campaign runs cheap, and a faulted wild store costs one
+/// page, not the span between it and the rest of the data.
 class VmArena {
 public:
   explicit VmArena(const Memory::Config &Cfg)
-      : Data(Memory::GuardBytes + Cfg.StackBytes + Cfg.HeapBytes, 0),
+      : Pages(Memory::GuardBytes + Cfg.StackBytes + Cfg.HeapBytes),
+        Data(Pages.data()),
+        Dirty(Pages.numPages(), 0),
         FirstValid(Memory::GuardBytes),
-        Limit(Data.size()),
+        Limit(Pages.size()),
         StackBase(Memory::GuardBytes),
         StackLimit(StackBase + Cfg.StackBytes),
         StackPtr(StackBase),
         HeapBase(StackLimit),
-        HeapPtr(HeapBase),
-        DirtyLo(Limit),
-        DirtyHi(FirstValid) {}
+        HeapPtr(HeapBase) {}
 
-  /// Rewinds both allocators and re-zeroes every byte written since the
+  /// Rewinds both allocators and re-zeroes every page written since the
   /// last reset, restoring the freshly-constructed state.
   void reset() {
-    if (DirtyHi > DirtyLo)
-      std::fill(Data.begin() + static_cast<ptrdiff_t>(DirtyLo),
-                Data.begin() + static_cast<ptrdiff_t>(DirtyHi), uint8_t(0));
-    DirtyLo = Limit;
-    DirtyHi = FirstValid;
+    uint8_t *First = Dirty.data(), *End = First + Dirty.size();
+    for (uint8_t *P = First;
+         (P = static_cast<uint8_t *>(
+             std::memchr(P, 1, static_cast<size_t>(End - P))));
+         ++P) {
+      Pages.zeroPage(static_cast<uint64_t>(P - First));
+      *P = 0;
+    }
     StackPtr = StackBase;
     HeapPtr = HeapBase;
   }
@@ -101,25 +107,30 @@ public:
 
   uint64_t read64(uint64_t Addr) const {
     uint64_t V;
-    std::memcpy(&V, &Data[Addr], sizeof(V));
+    std::memcpy(&V, Data + Addr, sizeof(V));
     return V;
   }
 
-  /// Unchecked 8-byte store; tracks the dirty span (a faulted pointer
-  /// can write anywhere inside the valid range, so every store counts).
+  /// Unchecked 8-byte store; marks its page(s) dirty (a faulted pointer
+  /// can write anywhere inside the valid range, possibly unaligned, so
+  /// every store marks both ends).
   void write64(uint64_t Addr, uint64_t V) {
-    std::memcpy(&Data[Addr], &V, sizeof(V));
-    DirtyLo = std::min(DirtyLo, Addr);
-    DirtyHi = std::max(DirtyHi, Addr + 8);
+    std::memcpy(Data + Addr, &V, sizeof(V));
+    Dirty[Addr / ZeroPages::PageBytes] = 1;
+    Dirty[(Addr + 7) / ZeroPages::PageBytes] = 1;
   }
 
+  /// Pages the OS currently backs with memory.
+  size_t residentPages() const { return Pages.residentPages(); }
+
 private:
-  std::vector<uint8_t> Data;
+  ZeroPages Pages;
+  uint8_t *Data;              ///< Pages.data().
+  std::vector<uint8_t> Dirty; ///< One byte per page: written since reset.
   uint64_t FirstValid;
   uint64_t Limit;
   uint64_t StackBase, StackLimit, StackPtr;
   uint64_t HeapBase, HeapPtr;
-  uint64_t DirtyLo, DirtyHi;
 };
 
 /// Reusable execution state for one VmProgram: arena, register stack and

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 using namespace ipas;
@@ -205,6 +207,67 @@ TEST(GridSearch, RanksByFScoreAndCoversGrid) {
     EXPECT_GE(RC.Params.Gamma, GC.GammaMin);
     EXPECT_LE(RC.Params.Gamma, GC.GammaMax * 1.0001);
   }
+}
+
+TEST(GridSearch, ParallelRankingIsBitIdentical) {
+  // XOR has many tied F-scores across the grid, so the ranking also
+  // pins the stable sort's tie order, i.e. the serial scoring order.
+  Rng R(17);
+  Dataset D = makeXor(12, R);
+  GridSearchConfig GC;
+  GC.CSteps = 5;
+  GC.GammaSteps = 4;
+  GC.Folds = 3;
+  GC.MaxIterations = 20000;
+  std::vector<RankedConfig> Parallel = gridSearch(D, GC);
+  ASSERT_EQ(Parallel.size(), 20u);
+
+  // The serial reference: score the same grid gamma-major on this
+  // thread, then rank with a stable sort.
+  std::vector<double> Cs, Gammas;
+  for (const RankedConfig &RC : Parallel) {
+    Cs.push_back(RC.Params.C);
+    Gammas.push_back(RC.Params.Gamma);
+  }
+  for (std::vector<double> *V : {&Cs, &Gammas}) {
+    std::sort(V->begin(), V->end());
+    V->erase(std::unique(V->begin(), V->end()), V->end());
+  }
+  ASSERT_EQ(Cs.size(), GC.CSteps);
+  ASSERT_EQ(Gammas.size(), GC.GammaSteps);
+  std::vector<RankedConfig> Serial;
+  for (double Gamma : Gammas)
+    for (double C : Cs) {
+      RankedConfig RC;
+      RC.Params.C = C;
+      RC.Params.Gamma = Gamma;
+      RC.Params.MaxIterations = GC.MaxIterations;
+      Rng FoldRng(GC.Seed ^ 0x9e37);
+      RC.Accuracies = crossValidate(D, RC.Params, GC.Folds, FoldRng);
+      RC.FScore = fScore(RC.Accuracies);
+      Serial.push_back(RC);
+    }
+  std::stable_sort(Serial.begin(), Serial.end(),
+                   [](const RankedConfig &A, const RankedConfig &B) {
+                     return A.FScore > B.FScore;
+                   });
+  ASSERT_EQ(Parallel.size(), Serial.size());
+  auto Bits = [](double X) { return std::bit_cast<uint64_t>(X); };
+  for (size_t I = 0; I != Serial.size(); ++I) {
+    const RankedConfig &A = Serial[I], &B = Parallel[I];
+    EXPECT_EQ(Bits(A.Params.C), Bits(B.Params.C)) << "rank " << I;
+    EXPECT_EQ(Bits(A.Params.Gamma), Bits(B.Params.Gamma)) << "rank " << I;
+    EXPECT_EQ(Bits(A.FScore), Bits(B.FScore)) << "rank " << I;
+    EXPECT_EQ(Bits(A.Accuracies.Accuracy1), Bits(B.Accuracies.Accuracy1))
+        << "rank " << I;
+    EXPECT_EQ(Bits(A.Accuracies.Accuracy2), Bits(B.Accuracies.Accuracy2))
+        << "rank " << I;
+  }
+  // Ties exist, so the comparison above covers the tie order too.
+  size_t Ties = 0;
+  for (size_t I = 1; I < Serial.size(); ++I)
+    Ties += Serial[I - 1].FScore == Serial[I].FScore;
+  EXPECT_GT(Ties, 0u);
 }
 
 TEST(GridSearch, PaperGridIs500Configurations) {

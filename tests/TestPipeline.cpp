@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 using namespace ipas;
 
 namespace {
@@ -234,4 +236,112 @@ TEST(ResultsCache, ConfigHashDistinguishesConfigs) {
   B = A;
   B.Grid.GammaSteps += 1;
   EXPECT_NE(pipelineConfigHash(A), pipelineConfigHash(B));
+  // Backend and thread count do not change results, so a cached
+  // evaluation serves every engine configuration.
+  A.Backend = ExecBackend::Interp;
+  A.NumThreads = 1;
+  B = PipelineConfig::defaults();
+  B.Backend = ExecBackend::Vm;
+  B.NumThreads = 4;
+  EXPECT_EQ(pipelineConfigHash(A), pipelineConfigHash(B));
+}
+
+//===----------------------------------------------------------------------===//
+// Defaults: the VM on every core, exact against the reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectSameStream(const CampaignResult &A, const CampaignResult &B,
+                      const std::string &What) {
+  ASSERT_EQ(A.Records.size(), B.Records.size()) << What;
+  for (size_t I = 0; I != A.Records.size(); ++I) {
+    const InjectionRecord &X = A.Records[I], &Y = B.Records[I];
+    EXPECT_EQ(X.InstructionId, Y.InstructionId) << What << " row " << I;
+    EXPECT_EQ(X.BitIndex, Y.BitIndex) << What << " row " << I;
+    EXPECT_EQ(X.TargetValueStep, Y.TargetValueStep) << What << " row " << I;
+    EXPECT_EQ(X.Result, Y.Result) << What << " row " << I;
+  }
+  EXPECT_EQ(A.Counts, B.Counts) << What;
+  EXPECT_EQ(A.CleanSteps, B.CleanSteps) << What;
+}
+
+void expectSameRanking(const std::vector<RankedConfig> &A,
+                       const std::vector<RankedConfig> &B,
+                       const std::string &What) {
+  ASSERT_EQ(A.size(), B.size()) << What;
+  auto Bits = [](double X) { return std::bit_cast<uint64_t>(X); };
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(Bits(A[I].Params.C), Bits(B[I].Params.C)) << What << I;
+    EXPECT_EQ(Bits(A[I].Params.Gamma), Bits(B[I].Params.Gamma)) << What << I;
+    EXPECT_EQ(Bits(A[I].FScore), Bits(B[I].FScore)) << What << I;
+    EXPECT_EQ(Bits(A[I].Accuracies.Accuracy1),
+              Bits(B[I].Accuracies.Accuracy1))
+        << What << I;
+    EXPECT_EQ(Bits(A[I].Accuracies.Accuracy2),
+              Bits(B[I].Accuracies.Accuracy2))
+        << What << I;
+  }
+}
+
+/// Every campaign of \p WE ran on the VM, none on the interpreter.
+void expectAllOnVm(const WorkloadEvaluation &WE) {
+  auto Check = [](const CampaignResult &C, const std::string &What) {
+    EXPECT_EQ(C.VmRuns, C.Records.size() - C.PrunedRuns) << What;
+    EXPECT_EQ(C.InterpRuns, 0u) << What;
+  };
+  Check(WE.Training.Campaign, "training");
+  for (const VariantEvaluation &V : WE.Variants)
+    Check(V.Campaign, V.Label);
+}
+
+} // namespace
+
+TEST(Pipeline, DefaultsMatchInterpreterReference) {
+  PipelineConfig Defaults;
+  EXPECT_EQ(Defaults.Backend, ExecBackend::Vm);
+  EXPECT_EQ(Defaults.NumThreads, hardwareThreads());
+
+  for (const char *Name : {"IS", "FFT"}) {
+    SCOPED_TRACE(Name);
+    auto W = makeWorkload(Name);
+    // e2ebench's tiny scale.
+    PipelineConfig Fast = PipelineConfig::defaults();
+    Fast.TrainSamples = 60;
+    Fast.EvalRuns = 24;
+    Fast.Grid.CSteps = 2;
+    Fast.Grid.GammaSteps = 2;
+    Fast.Grid.Folds = 2;
+    Fast.TopN = 2;
+    PipelineConfig Ref = Fast;
+    Ref.Backend = ExecBackend::Interp;
+    Ref.NumThreads = 1;
+
+    WorkloadEvaluation A = IpasPipeline(*W, Fast).run();
+    WorkloadEvaluation B = IpasPipeline(*W, Ref).run();
+
+    expectAllOnVm(A);
+    expectSameStream(A.Training.Campaign, B.Training.Campaign, "training");
+    expectSameRanking(A.Training.IpasConfigs, B.Training.IpasConfigs,
+                      "ipas rank ");
+    expectSameRanking(A.Training.BaselineConfigs,
+                      B.Training.BaselineConfigs, "baseline rank ");
+    ASSERT_EQ(A.Variants.size(), B.Variants.size());
+    for (size_t I = 0; I != A.Variants.size(); ++I) {
+      const VariantEvaluation &X = A.Variants[I], &Y = B.Variants[I];
+      ASSERT_EQ(X.Label, Y.Label);
+      expectSameStream(X.Campaign, Y.Campaign, X.Label);
+      EXPECT_EQ(X.Dup.TotalInstructions, Y.Dup.TotalInstructions);
+      EXPECT_EQ(X.Dup.EligibleInstructions, Y.Dup.EligibleInstructions);
+      EXPECT_EQ(X.Dup.SelectedInstructions, Y.Dup.SelectedInstructions);
+      EXPECT_EQ(X.Dup.DuplicatedInstructions, Y.Dup.DuplicatedInstructions);
+      EXPECT_EQ(X.Dup.ChecksInserted, Y.Dup.ChecksInserted);
+      EXPECT_EQ(std::bit_cast<uint64_t>(X.Slowdown),
+                std::bit_cast<uint64_t>(Y.Slowdown))
+          << X.Label;
+      EXPECT_EQ(std::bit_cast<uint64_t>(X.SocReductionPct),
+                std::bit_cast<uint64_t>(Y.SocReductionPct))
+          << X.Label;
+    }
+  }
 }

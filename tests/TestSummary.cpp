@@ -382,7 +382,8 @@ struct IncrementalRun {
 
 IncrementalRun runIncremental(const std::string &Source, size_t NumRuns,
                               uint64_t Seed, const obs::RecordStore *Prior,
-                              unsigned Threads = 1) {
+                              unsigned Threads = 1,
+                              ExecBackend Backend = ExecBackend::Interp) {
   IncrementalRun Out;
   Out.M = compile(Source);
   EXPECT_NE(Out.M, nullptr);
@@ -392,6 +393,7 @@ IncrementalRun runIncremental(const std::string &Source, size_t NumRuns,
   Cfg.Base.NumRuns = NumRuns;
   Cfg.Base.Seed = Seed;
   Cfg.Base.NumThreads = Threads;
+  Cfg.Base.Backend = Backend;
   Cfg.Prior = Prior;
   Out.R = runIncrementalCampaign(Harness, *Out.Layout, *Out.M, Cfg);
   return Out;
@@ -435,6 +437,25 @@ TEST(Incremental, SecondRunReusesEverything) {
   for (size_t I = 0; I != Second.R.FunctionMetas.size(); ++I)
     EXPECT_EQ(Second.R.reason(I), InvalidationReason::Reused);
   expectSameRecords(First.R.Campaign, Second.R.Campaign);
+}
+
+TEST(Incremental, ReportsTheBackendSplitOfExecutedRuns) {
+  IPAS_SEED_TRACE(testSeed());
+  IncrementalRun First =
+      runIncremental(readTestdata("residual.mc"), 90, testSeed(), nullptr);
+  EXPECT_EQ(First.R.Campaign.InterpRuns, First.R.ExecutedRuns);
+  EXPECT_EQ(First.R.Campaign.VmRuns, 0u);
+  obs::RecordStore Prior = toStore(First, testSeed());
+
+  std::string Edited = readTestdata("residual_edit.mc");
+  IncrementalRun Vm = runIncremental(Edited, 90, testSeed(), &Prior, 1,
+                                     ExecBackend::Vm);
+  EXPECT_GT(Vm.R.ExecutedRuns, 0u);
+  EXPECT_EQ(Vm.R.Campaign.VmRuns, Vm.R.ExecutedRuns);
+  EXPECT_EQ(Vm.R.Campaign.InterpRuns, 0u);
+  // Same rows as the interpreter leg.
+  IncrementalRun Interp = runIncremental(Edited, 90, testSeed(), &Prior);
+  expectSameRecords(Interp.R.Campaign, Vm.R.Campaign);
 }
 
 TEST(Incremental, EditReexecutesOnlyTheEditedFunction) {

@@ -816,3 +816,56 @@ TEST(VmFallback, EngineRoutesAndCountsEachReason) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Arena memory: lazily zeroed pages, page-granular reset
+//===----------------------------------------------------------------------===//
+
+TEST(VmArena, ResetTouchesOnlyWrittenPages) {
+  Memory::Config Cfg;
+  Cfg.StackBytes = 1ull << 20;
+  Cfg.HeapBytes = 63ull << 20; // 64 MiB plus the guard page
+  vm::VmArena A(Cfg);
+  EXPECT_EQ(A.residentPages(), 0u) << "a fresh arena must cost no memory";
+
+  uint64_t Stack = A.allocaBytes(64);
+  uint64_t Heap = A.mallocBytes(2 * ZeroPages::PageBytes);
+  // A faulted pointer: far from the data, near the top of the arena.
+  uint64_t Wild = Memory::GuardBytes + Cfg.StackBytes + Cfg.HeapBytes - 64;
+  ASSERT_NE(Stack, 0u);
+  ASSERT_NE(Heap, 0u);
+  ASSERT_TRUE(A.validRange(Wild, 8));
+  A.write64(Stack, 0x1111);
+  A.write64(Stack + 8, 0x2222);
+  A.write64(Heap, 0x3333);
+  A.write64(Heap + ZeroPages::PageBytes, 0x4444);
+  A.write64(Wild, 0x5555);
+  EXPECT_EQ(A.residentPages(), 4u);
+
+  A.reset();
+  EXPECT_LE(A.residentPages(), 4u)
+      << "reset must not touch the pages between the data and the wild "
+         "store";
+  uint64_t Size = Memory::GuardBytes + Cfg.StackBytes + Cfg.HeapBytes;
+  uint64_t NonZero = 0;
+  for (uint64_t Addr = 0; Addr < Size; Addr += 8)
+    NonZero += A.read64(Addr) != 0;
+  EXPECT_EQ(NonZero, 0u);
+  // The allocators rewound too.
+  EXPECT_EQ(A.allocaBytes(64), Stack);
+  EXPECT_EQ(A.mallocBytes(8), Heap);
+}
+
+TEST(VmArena, ResetClearsAStoreAcrossAPageBoundary) {
+  Memory::Config Cfg;
+  Cfg.StackBytes = 4 * ZeroPages::PageBytes;
+  Cfg.HeapBytes = 4 * ZeroPages::PageBytes;
+  vm::VmArena A(Cfg);
+  // An unaligned faulted address whose 8 bytes span two pages.
+  uint64_t Addr = 3 * ZeroPages::PageBytes - 4;
+  ASSERT_TRUE(A.validRange(Addr, 8));
+  A.write64(Addr, ~0ull);
+  A.reset();
+  EXPECT_EQ(A.read64(Addr - 4), 0u);
+  EXPECT_EQ(A.read64(Addr + 4), 0u);
+}
