@@ -14,6 +14,8 @@
 #include "obs/Trace.h"
 #include "support/Statistics.h"
 
+#include <chrono>
+
 using namespace ipas;
 
 namespace {
@@ -404,6 +406,24 @@ IpasPipeline::selectInstructions(Technique T, const SvmParams &P,
   return Ids;
 }
 
+std::vector<IpasPipeline::Selection>
+IpasPipeline::selectTopN(const TrainingArtifacts &A) const {
+  std::vector<std::pair<Technique, const SvmParams *>> Fits;
+  for (const RankedConfig &RC : A.IpasConfigs)
+    Fits.emplace_back(Technique::Ipas, &RC.Params);
+  for (const RankedConfig &RC : A.BaselineConfigs)
+    Fits.emplace_back(Technique::Baseline, &RC.Params);
+  std::vector<Selection> Out(Fits.size());
+  parallelFor(Fits.size(), hardwareThreads(), [&](size_t K) {
+    auto Start = std::chrono::steady_clock::now();
+    Out[K].Ids = selectInstructions(Fits[K].first, *Fits[K].second, A);
+    Out[K].Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+  });
+  return Out;
+}
+
 WorkloadEvaluation IpasPipeline::run() {
   obs::PhaseSpan Pipeline("pipeline",
                           obs::AttrSet().add("workload", W.name()));
@@ -475,26 +495,37 @@ WorkloadEvaluation IpasPipeline::run() {
 
   // Classification + duplication time (Table 6) covers only the model
   // application and the transform, not the evaluation campaigns (which in
-  // the paper run as separate parallel fault-injection jobs).
-  auto TimedProtect = [&](Technique T, const RankedConfig &RC) {
+  // the paper run as separate parallel fault-injection jobs). The 2 x
+  // TopN classifier fits are independent, so they all run up front on
+  // every core; each variant is charged its own fit's time.
+  std::vector<Selection> Selected;
+  {
+    obs::PhaseSpan Span(
+        "pipeline.protect",
+        obs::AttrSet().add("fits",
+                           static_cast<uint64_t>(
+                               WE.Training.IpasConfigs.size() +
+                               WE.Training.BaselineConfigs.size())));
+    Selected = selectTopN(WE.Training);
+  }
+  auto TimedProtect = [&](Technique T, const Selection &S) {
     obs::PhaseSpan Span("pipeline.protect",
                         obs::AttrSet().add("technique", techniqueName(T)));
-    std::set<unsigned> Ids = selectInstructions(T, RC.Params, WE.Training);
-    ProtectedModule PM = protect(Ids);
-    WE.DuplicateSeconds += Span.seconds();
+    ProtectedModule PM = protect(S.Ids);
+    WE.DuplicateSeconds += S.Seconds + Span.seconds();
     return PM;
   };
-  for (unsigned K = 0; K != WE.Training.IpasConfigs.size(); ++K) {
-    const RankedConfig &RC = WE.Training.IpasConfigs[K];
-    MakeVariant("ipas-" + std::to_string(K + 1), Technique::Ipas, RC,
-                TimedProtect(Technique::Ipas, RC), Cfg.Seed ^ (0x100 + K));
-  }
-  for (unsigned K = 0; K != WE.Training.BaselineConfigs.size(); ++K) {
-    const RankedConfig &RC = WE.Training.BaselineConfigs[K];
+  const size_t NumIpas = WE.Training.IpasConfigs.size();
+  for (unsigned K = 0; K != NumIpas; ++K)
+    MakeVariant("ipas-" + std::to_string(K + 1), Technique::Ipas,
+                WE.Training.IpasConfigs[K],
+                TimedProtect(Technique::Ipas, Selected[K]),
+                Cfg.Seed ^ (0x100 + K));
+  for (unsigned K = 0; K != WE.Training.BaselineConfigs.size(); ++K)
     MakeVariant("baseline-" + std::to_string(K + 1), Technique::Baseline,
-                RC, TimedProtect(Technique::Baseline, RC),
+                WE.Training.BaselineConfigs[K],
+                TimedProtect(Technique::Baseline, Selected[NumIpas + K]),
                 Cfg.Seed ^ (0x200 + K));
-  }
   obs::TraceSink::event(
       "pipeline.done",
       obs::AttrSet()

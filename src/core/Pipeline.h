@@ -161,6 +161,17 @@ public:
   std::set<unsigned> selectInstructions(Technique T, const SvmParams &P,
                                         const TrainingArtifacts &A) const;
 
+  /// One top-N configuration's instruction set and the seconds its
+  /// classifier fit took.
+  struct Selection {
+    std::set<unsigned> Ids;
+    double Seconds = 0.0;
+  };
+  /// selectInstructions for every configuration in \p A, IPAS first and
+  /// then Baseline, fitted concurrently on every core (support/
+  /// Parallel.h), each into its own slot; equal to the serial calls.
+  std::vector<Selection> selectTopN(const TrainingArtifacts &A) const;
+
   /// Builds a freshly compiled module with the given protection applied.
   struct ProtectedModule {
     std::unique_ptr<Module> M;

@@ -45,6 +45,8 @@ public:
   size_t numSupportVectors() const { return SupportVectors.size(); }
   double gamma() const { return Gamma; }
   double bias() const { return Bias; }
+  /// alpha_i * y_i per support vector, in training-set order.
+  const std::vector<double> &coefficients() const { return Coefficients; }
   /// Number of SMO iterations the training run used.
   size_t iterationsUsed() const { return Iterations; }
   /// Final dual objective f(alpha) = 0.5 alpha'Q alpha - e'alpha reached

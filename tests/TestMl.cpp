@@ -4,7 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Pipeline.h"
 #include "ml/ModelSelection.h"
+#include "ml/SvmRows.h"
+#include "obs/Metrics.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -147,8 +151,85 @@ TEST(Svm, MaxIterationsBoundsWork) {
   P.C = 1e4;
   P.Gamma = 5.0;
   P.MaxIterations = 10;
+  obs::Counter &Capped =
+      obs::MetricsRegistry::global().counter("ml.svm.capped");
+  uint64_t Before = Capped.value();
   SvmModel Model = trainCSvc(D, P);
   EXPECT_LE(Model.iterationsUsed(), 10u);
+  EXPECT_EQ(Capped.value(), Before + 1);
+  // A fit that converges before the cap leaves the counter alone.
+  P.MaxIterations = 200000;
+  EXPECT_LT(trainCSvc(D, P).iterationsUsed(), P.MaxIterations);
+  EXPECT_EQ(Capped.value(), Before + 1);
+}
+
+TEST(Svm, VectorPassMatchesPortablePass) {
+  if (svm::hostSmoIsa() != svm::SmoIsa::Avx2)
+    GTEST_SKIP() << "this CPU has no AVX2, so only the portable pass runs";
+  auto Bits = [](double X) { return std::bit_cast<uint64_t>(X); };
+  auto Same = [&](const Dataset &D, const SvmParams &P) -> svm::RowFit {
+    std::vector<size_t> Rows(D.size());
+    for (size_t I = 0; I != Rows.size(); ++I)
+      Rows[I] = I;
+    svm::SquaredDistances D2(D);
+    svm::RowFit A = svm::fitRows(D, &D2, Rows, P, svm::SmoIsa::Portable);
+    svm::RowFit B = svm::fitRows(D, &D2, Rows, P, svm::SmoIsa::Avx2);
+    EXPECT_GT(A.Iterations, 0u);
+    EXPECT_EQ(A.Iterations, B.Iterations);
+    EXPECT_EQ(A.Capped, B.Capped);
+    EXPECT_EQ(Bits(A.Bias), Bits(B.Bias));
+    EXPECT_EQ(Bits(A.Objective), Bits(B.Objective));
+    EXPECT_EQ(A.SupportRows, B.SupportRows);
+    EXPECT_EQ(A.Coefficients.size(), B.Coefficients.size());
+    for (size_t K = 0; K < A.Coefficients.size() && K < B.Coefficients.size();
+         ++K)
+      EXPECT_EQ(Bits(A.Coefficients[K]), Bits(B.Coefficients[K])) << K;
+    return A;
+  };
+
+  // Every length around the 4-lane padding, and the pipeline's sizes. A
+  // third of the rows repeat an earlier row, so many V values tie and the
+  // first-index tie-break decides the working set.
+  Rng R(testutil::testSeed());
+  IPAS_SEED_TRACE(testutil::testSeed());
+  for (size_t N : {2, 3, 4, 5, 6, 7, 8, 9, 267, 400}) {
+    SCOPED_TRACE(N);
+    Dataset D;
+    for (size_t I = 0; I != N; ++I) {
+      int Label = I % 3 == 1 ? 1 : -1;
+      if (I >= 3 && I % 3 == 0) {
+        size_t From = static_cast<size_t>(R.nextBelow(I));
+        D.add(D.X[From], D.Y[From]);
+        continue;
+      }
+      D.add({R.nextDoubleIn(0, 1), R.nextDoubleIn(0, 1),
+             R.nextDoubleIn(0, 1)},
+            Label);
+    }
+    if (D.countLabel(1) == 0 || D.countLabel(-1) == 0)
+      D.Y[0] = -D.Y[0];
+    SvmParams P;
+    P.C = 10.0;
+    P.Gamma = 2.0;
+    P.MaxIterations = 20000;
+    Same(D, P);
+    P.MaxIterations = 7; // stops mid-solve
+    Same(D, P);
+  }
+
+  // Separable XOR at a large C: the support vectors are free (strictly
+  // inside their box), so the bias averages over many of them.
+  Dataset Xor = makeXor(60, R);
+  SvmParams P;
+  P.C = 1e4;
+  P.Gamma = 30.0;
+  svm::RowFit Fit = Same(Xor, P);
+  size_t Free = 0;
+  for (size_t K = 0; K != Fit.SupportRows.size(); ++K)
+    Free += std::fabs(Fit.Coefficients[K]) < P.C;
+  EXPECT_GE(Free, 8u) << "of " << Fit.SupportRows.size()
+                      << " support vectors";
+  EXPECT_GT(2 * Free, Fit.SupportRows.size());
 }
 
 TEST(FScore, MatchesPaperFormula) {
@@ -277,4 +358,76 @@ TEST(GridSearch, PaperGridIs500Configurations) {
   EXPECT_DOUBLE_EQ(GC.CMax, 1e5);
   EXPECT_DOUBLE_EQ(GC.GammaMin, 1e-5);
   EXPECT_DOUBLE_EQ(GC.GammaMax, 1.0);
+}
+
+namespace {
+
+/// FNV-1a over the bit patterns of doubles and counts.
+class BitDigest {
+public:
+  BitDigest &u64(uint64_t V) {
+    for (unsigned B = 0; B != 8; ++B) {
+      H ^= (V >> (8 * B)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  BitDigest &f64(double V) { return u64(std::bit_cast<uint64_t>(V)); }
+  uint64_t value() const { return H; }
+
+private:
+  uint64_t H = 0xcbf29ce484222325ull;
+};
+
+uint64_t modelDigest(const SvmModel &M) {
+  BitDigest D;
+  D.f64(M.bias()).f64(M.objective()).u64(M.iterationsUsed());
+  D.u64(M.coefficients().size());
+  for (double C : M.coefficients())
+    D.f64(C);
+  return D.value();
+}
+
+} // namespace
+
+TEST(Svm, PinnedBitsOnIsDefaultScale) {
+  // The IS IPAS dataset at PipelineConfig::defaults() (400 samples, 31
+  // features), ranked over the default 8 x 8 x 3 grid as the pipeline
+  // does, then fitted on the full set at the top two configurations and
+  // at the grid corner (C = 1e5, gamma = 1), which stops at the cap.
+  // The digests were taken from the scalar solver this fast path
+  // replaced; any change to an output bit of the SVM layer moves them.
+  PipelineConfig Cfg = PipelineConfig::defaults();
+  auto W = makeWorkload("IS");
+  TrainingArtifacts A = IpasPipeline(*W, Cfg).collectAndTrain(false);
+  ASSERT_EQ(A.IpasData.size(), 400u);
+
+  GridSearchConfig GC = Cfg.Grid;
+  GC.Seed = Cfg.Seed ^ 0x62d5;
+  std::vector<RankedConfig> Ranked = gridSearch(A.IpasData, GC);
+  ASSERT_EQ(Ranked.size(), 64u);
+  BitDigest RD;
+  for (const RankedConfig &RC : Ranked)
+    RD.f64(RC.Params.C)
+        .f64(RC.Params.Gamma)
+        .f64(RC.FScore)
+        .f64(RC.Accuracies.Accuracy1)
+        .f64(RC.Accuracies.Accuracy2);
+  EXPECT_EQ(RD.value(), 0x185a9605469b4cd0ull) << std::hex << RD.value();
+
+  SvmParams Corner;
+  Corner.C = GC.CMax;
+  Corner.Gamma = GC.GammaMax;
+  Corner.MaxIterations = GC.MaxIterations;
+  const uint64_t Expected[] = {0x7f054e9efa973b31ull, 0x4c079ec9907df2e6ull,
+                               0xa142a6d7e2c32e65ull};
+  const SvmParams Fits[] = {Ranked[0].Params, Ranked[1].Params, Corner};
+  for (unsigned K = 0; K != 3; ++K) {
+    SvmModel M = trainCSvc(A.IpasData, Fits[K]);
+    EXPECT_EQ(modelDigest(M), Expected[K])
+        << "fit " << K << ": " << std::hex << modelDigest(M) << std::dec
+        << " (" << M.iterationsUsed() << " iterations)";
+  }
+  EXPECT_EQ(trainCSvc(A.IpasData, Corner).iterationsUsed(),
+            GC.MaxIterations);
 }

@@ -84,6 +84,27 @@ TEST(Pipeline, SelectInstructionsDiffersByTechnique) {
   EXPECT_GT(BaseIds.size(), IpasIds.size());
 }
 
+TEST(Pipeline, ParallelTopNFitsMatchSerialFits) {
+  auto W = makeWorkload("IS");
+  IpasPipeline P(*W, tinyConfig());
+  TrainingArtifacts A = P.collectAndTrain();
+  ASSERT_EQ(A.IpasConfigs.size(), 2u);
+  ASSERT_EQ(A.BaselineConfigs.size(), 2u);
+  std::vector<IpasPipeline::Selection> Parallel = P.selectTopN(A);
+  ASSERT_EQ(Parallel.size(), 4u);
+  for (size_t K = 0; K != Parallel.size(); ++K) {
+    bool Ipas = K < A.IpasConfigs.size();
+    const RankedConfig &RC = Ipas ? A.IpasConfigs[K]
+                                  : A.BaselineConfigs[K - A.IpasConfigs.size()];
+    EXPECT_EQ(Parallel[K].Ids,
+              P.selectInstructions(Ipas ? Technique::Ipas
+                                        : Technique::Baseline,
+                                   RC.Params, A))
+        << "fit " << K;
+    EXPECT_GT(Parallel[K].Seconds, 0.0) << "fit " << K;
+  }
+}
+
 TEST(Pipeline, FullEvaluationShapesMatchPaper) {
   const WorkloadEvaluation &WE = isEvaluation();
   ASSERT_GE(WE.Variants.size(), 4u);
