@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Every table/figure harness accepts the same flags:
+/// Every harness accepts the same flags:
 ///   --runs N            evaluation injections per configuration
 ///   --train-samples N   training injections
 ///   --grid N            grid points per axis (N x N configurations)
@@ -14,15 +14,13 @@
 ///   --seed S            master seed
 ///   --paper-scale       the paper's campaign sizes (2500/1024/25x20/5)
 ///   --workload NAME     restrict to one workload
-/// Results of the expensive shared evaluation are cached under
-/// .ipas-cache (set IPAS_NO_CACHE=1 to disable).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPAS_BENCH_BENCHCOMMON_H
 #define IPAS_BENCH_BENCHCOMMON_H
 
-#include "core/ResultsCache.h"
+#include "core/Pipeline.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
 #include "support/ArgParser.h"
@@ -177,18 +175,6 @@ private:
   std::map<std::string, uint64_t> Ints;
   std::map<std::string, double> Doubles;
 };
-
-/// One row of the Figure 5 style outcome breakdown.
-inline void printOutcomeRow(const char *Label, const CampaignResult &C) {
-  std::printf("  %-12s symptom=%5.1f%%  detected=%5.1f%%  masked=%5.1f%%  "
-              "soc=%5.2f%%\n",
-              Label,
-              100.0 * (C.fraction(Outcome::Crash) +
-                       C.fraction(Outcome::Hang)),
-              100.0 * C.fraction(Outcome::Detected),
-              100.0 * C.fraction(Outcome::Masked),
-              100.0 * C.fraction(Outcome::SOC));
-}
 
 } // namespace bench
 } // namespace ipas

@@ -27,6 +27,8 @@
 #include "transform/Mem2Reg.h"
 #include "transform/SimplifyCFG.h"
 
+#include <algorithm>
+
 using namespace ipas;
 using namespace ipas::bench;
 
@@ -74,13 +76,28 @@ std::unique_ptr<Module> compileKernel() {
 }
 
 enum class Variant { Off, Counting, Context };
+constexpr size_t kNumVariants = 3;
 
-/// \p NumRuns timed clean runs; returns runs per second. Each profiled
+/// One variant's accumulated measurement.
+struct Tally {
+  uint64_t ElapsedUs = 0;
+  size_t Runs = 0;
+  uint64_t Steps = 0;                ///< Steps of one clean run.
+  std::vector<uint64_t> BatchUs;     ///< Wall clock of each batch.
+
+  double runsPerSec() const {
+    return ElapsedUs ? static_cast<double>(Runs) * 1e6 /
+                           static_cast<double>(ElapsedUs)
+                     : 0.0;
+  }
+};
+
+/// \p NumRuns timed clean runs of \p V, added to \p T. Each profiled
 /// run constructs its own CostProfiler, exactly like real callers (one
 /// profiler per profiled clean run), so construction cost is charged to
 /// the profiling variant it belongs to.
-double timedCleanRuns(const ModuleLayout &Layout, size_t NumRuns, Variant V,
-                      uint64_t *StepsOut = nullptr) {
+void batch(const ModuleLayout &Layout, Variant V, size_t NumRuns,
+           Tally &T) {
   FunctionHarness H("kernel", {RtValue::fromI64(24)});
   uint64_t T0 = obs::monotonicMicros();
   for (size_t R = 0; R != NumRuns; ++R) {
@@ -105,12 +122,49 @@ double timedCleanRuns(const ModuleLayout &Layout, size_t NumRuns, Variant V,
       std::fprintf(stderr, "error: clean run failed\n");
       std::exit(1);
     }
-    if (StepsOut)
-      *StepsOut = Rec.Steps;
+    T.Steps = Rec.Steps;
   }
-  double Secs =
-      static_cast<double>(obs::monotonicMicros() - T0) / 1e6;
-  return Secs > 0.0 ? static_cast<double>(NumRuns) / Secs : 0.0;
+  uint64_t Us = obs::monotonicMicros() - T0;
+  T.ElapsedUs += Us;
+  T.Runs += NumRuns;
+  T.BatchUs.push_back(Us);
+}
+
+/// Measures all three variants by interleaving them in small batches
+/// until every variant has at least \p NumRuns runs and half a second
+/// of accumulated wall clock. The gated metric is a ratio, and one
+/// sequential window per variant lets frequency scaling, scheduler
+/// drift or a neighbouring process land entirely on one side of the
+/// division; interleaving puts the batches of one round a few
+/// milliseconds apart.
+void measureVariants(const ModuleLayout &Layout, size_t NumRuns,
+                     Tally *T) {
+  constexpr uint64_t MinWindowUs = 500000;
+  constexpr size_t Batch = 8;
+  for (bool More = true; More;) {
+    More = false;
+    for (size_t K = 0; K != kNumVariants; ++K) {
+      batch(Layout, static_cast<Variant>(K), Batch, T[K]);
+      if (T[K].Runs < NumRuns || T[K].ElapsedUs < MinWindowUs)
+        More = true;
+    }
+  }
+}
+
+/// Slowdown of \p Profiled against \p Off: the median over rounds of
+/// the ratio of their batch times. A burst of contention that stalls
+/// one batch moves one ratio, not the median.
+double medianSlowdown(const Tally &Off, const Tally &Profiled) {
+  std::vector<double> Ratios;
+  for (size_t K = 0; K != Off.BatchUs.size(); ++K)
+    if (Off.BatchUs[K])
+      Ratios.push_back(static_cast<double>(Profiled.BatchUs[K]) /
+                       static_cast<double>(Off.BatchUs[K]));
+  if (Ratios.empty())
+    return 0.0;
+  std::nth_element(Ratios.begin(), Ratios.begin() + Ratios.size() / 2,
+                   Ratios.end());
+  return Ratios[Ratios.size() / 2];
 }
 
 } // namespace
@@ -126,21 +180,26 @@ int main(int Argc, char **Argv) {
   ModuleLayout Layout(*M);
 
   std::printf("== cost-profiler overhead ==\n");
-  std::printf("(kernel: 64-point Jacobi sweep, %zu clean runs per "
-              "variant)\n\n",
+  std::printf("(kernel: 64-point Jacobi sweep, at least %zu clean runs "
+              "per variant, interleaved)\n\n",
               NumRuns);
 
-  // Warm up caches/allocator so the first measured variant is not
-  // penalized.
-  timedCleanRuns(Layout, NumRuns / 4 + 1, Variant::Off);
+  // Warm up caches/allocator so the first measured batches are not
+  // penalized, then discard the tallies.
+  Tally T[kNumVariants];
+  for (size_t K = 0; K != kNumVariants; ++K)
+    batch(Layout, static_cast<Variant>(K), NumRuns / 16 + 1, T[K]);
+  for (Tally &Each : T)
+    Each = Tally();
 
-  uint64_t Steps = 0;
-  double Off = timedCleanRuns(Layout, NumRuns, Variant::Off, &Steps);
-  double Counting = timedCleanRuns(Layout, NumRuns, Variant::Counting);
-  double Context = timedCleanRuns(Layout, NumRuns, Variant::Context);
+  measureVariants(Layout, NumRuns, T);
+  uint64_t Steps = T[0].Steps;
+  double Off = T[0].runsPerSec();
+  double Counting = T[1].runsPerSec();
+  double Context = T[2].runsPerSec();
 
-  double SlowCounting = Counting > 0.0 ? Off / Counting : 0.0;
-  double SlowContext = Context > 0.0 ? Off / Context : 0.0;
+  double SlowCounting = medianSlowdown(T[0], T[1]);
+  double SlowContext = medianSlowdown(T[0], T[2]);
 
   std::printf("  %-16s %12s %10s\n", "variant", "runs/sec", "slowdown");
   std::printf("  %-16s %12.0f %9.2fx\n", "profiling off", Off, 1.0);

@@ -78,8 +78,8 @@ struct PipelineConfig {
   ExecBackend Backend = ExecBackend::Vm;
   /// Threads for the training campaign and every evaluation campaign
   /// (CampaignConfig::NumThreads; the grid searches always use every
-  /// core). Results do not depend on it, so the default uses every core;
-  /// the results cache key leaves it out, like Backend.
+  /// core). Results do not depend on it, so the default uses every
+  /// core.
   unsigned NumThreads = hardwareThreads();
   /// When nonzero, every evaluation campaign also traces fault
   /// propagation for 1-in-N injections (CampaignConfig::PropSampleEvery).
@@ -153,8 +153,8 @@ public:
 
   /// Steps 2-3: fault injection, labeling, grid search. Pass
   /// \p RunGridSearch = false to skip model selection (used when the
-  /// (C, gamma) configuration is already known, e.g. from a cached
-  /// evaluation); the config lists are then left empty.
+  /// (C, gamma) configuration is already known); the config lists are
+  /// then left empty.
   TrainingArtifacts collectAndTrain(bool RunGridSearch = true);
 
   /// Step 4 for one configuration: returns the instruction ids to protect.

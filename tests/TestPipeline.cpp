@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/ResultsCache.h"
+#include "core/Pipeline.h"
 #include "obs/RecordStore.h"
 #include "support/Statistics.h"
 
@@ -203,68 +203,6 @@ TEST(Pipeline, TechniqueNames) {
   EXPECT_STREQ(techniqueName(Technique::FullDup), "full-duplication");
   EXPECT_STREQ(techniqueName(Technique::Ipas), "ipas");
   EXPECT_STREQ(techniqueName(Technique::Baseline), "baseline");
-}
-
-//===----------------------------------------------------------------------===//
-// Results cache
-//===----------------------------------------------------------------------===//
-
-TEST(ResultsCache, SerializationRoundTrips) {
-  const WorkloadEvaluation &WE = isEvaluation();
-  std::string Text = serializeEvaluation(WE);
-  auto Back = deserializeEvaluation(Text);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(Back->WorkloadName, WE.WorkloadName);
-  EXPECT_EQ(Back->StaticInstructions, WE.StaticInstructions);
-  EXPECT_EQ(Back->LinesOfCode, WE.LinesOfCode);
-  ASSERT_EQ(Back->Variants.size(), WE.Variants.size());
-  for (size_t I = 0; I != WE.Variants.size(); ++I) {
-    const VariantEvaluation &A = WE.Variants[I];
-    const VariantEvaluation &B = Back->Variants[I];
-    EXPECT_EQ(A.Label, B.Label);
-    EXPECT_EQ(A.Tech, B.Tech);
-    EXPECT_DOUBLE_EQ(A.Slowdown, B.Slowdown);
-    EXPECT_DOUBLE_EQ(A.SocReductionPct, B.SocReductionPct);
-    EXPECT_EQ(A.Campaign.totalRuns(), B.Campaign.totalRuns());
-    for (Outcome O : {Outcome::Crash, Outcome::Hang, Outcome::Detected,
-                      Outcome::Masked, Outcome::SOC})
-      EXPECT_EQ(A.Campaign.count(O), B.Campaign.count(O));
-    EXPECT_EQ(A.Dup.DuplicatedInstructions, B.Dup.DuplicatedInstructions);
-  }
-  EXPECT_EQ(Back->Training.IpasConfigs.size(),
-            WE.Training.IpasConfigs.size());
-}
-
-TEST(ResultsCache, RejectsMalformedInput) {
-  EXPECT_FALSE(deserializeEvaluation("").has_value());
-  EXPECT_FALSE(deserializeEvaluation("garbage").has_value());
-  EXPECT_FALSE(
-      deserializeEvaluation("ipas-cache-v1\nworkload IS\n").has_value());
-  std::string Text = serializeEvaluation(isEvaluation());
-  EXPECT_FALSE(
-      deserializeEvaluation(Text.substr(0, Text.size() / 2)).has_value());
-}
-
-TEST(ResultsCache, ConfigHashDistinguishesConfigs) {
-  PipelineConfig A = PipelineConfig::defaults();
-  PipelineConfig B = A;
-  EXPECT_EQ(pipelineConfigHash(A), pipelineConfigHash(B));
-  B.EvalRuns += 1;
-  EXPECT_NE(pipelineConfigHash(A), pipelineConfigHash(B));
-  B = A;
-  B.Seed ^= 1;
-  EXPECT_NE(pipelineConfigHash(A), pipelineConfigHash(B));
-  B = A;
-  B.Grid.GammaSteps += 1;
-  EXPECT_NE(pipelineConfigHash(A), pipelineConfigHash(B));
-  // Backend and thread count do not change results, so a cached
-  // evaluation serves every engine configuration.
-  A.Backend = ExecBackend::Interp;
-  A.NumThreads = 1;
-  B = PipelineConfig::defaults();
-  B.Backend = ExecBackend::Vm;
-  B.NumThreads = 4;
-  EXPECT_EQ(pipelineConfigHash(A), pipelineConfigHash(B));
 }
 
 //===----------------------------------------------------------------------===//
